@@ -38,6 +38,7 @@ from .operators import (
     flip_residual,
     flip_scan,
     norm_recurrence_residual,
+    operator_matrix,
     pieri_residual,
     plancherel_flatness,
     raisefund_residual,
@@ -92,7 +93,6 @@ from .special import (
 )
 from .transform import (
     DiagonalizationReport,
-    RacahTransformContext,
     TransformContext,
     build_k_matrix,
     build_k_matrix_racah,

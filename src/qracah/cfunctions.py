@@ -197,45 +197,37 @@ def _pick_path(p: ParamSet, path: str) -> str:
     return path
 
 
-def c_plus(nu, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
-    """C_+(nu); poles at non-generic parameters surface as PoleError."""
+def _c(nu, p: ParamSet, path: str, plus: bool, dual: bool, prefactor: bool, context: str):
+    """C_+- (or with dual=True Chat_+-) along the chosen evaluation path."""
     check_dominant(nu)
     if _pick_path(p, path) == "trig":
-        ts = p.trig
-        return _c_trig(nu, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), True, f"C+{nu}")
+        ts = p.trig.dual() if dual else p.trig
+        return _c_trig(nu, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), plus, context)
     dv = dual_view(p)
-    return _c_q(nu, p.q, p.t, p.tau, p.ts, dv.tauhat, True, prefactor, f"C+{nu}")
+    if dual:
+        return _c_q(nu, p.q, p.t, dv.tauhat, dv.that_slots, p.tau, plus, prefactor, context)
+    return _c_q(nu, p.q, p.t, p.tau, p.ts, dv.tauhat, plus, prefactor, context)
+
+
+def c_plus(nu, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
+    """C_+(nu); poles at non-generic parameters surface as PoleError."""
+    return _c(nu, p, path, True, False, prefactor, f"C+{nu}")
 
 
 def c_minus(nu, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
     """C_-(nu), same prefactor as C_+."""
-    check_dominant(nu)
-    if _pick_path(p, path) == "trig":
-        ts = p.trig
-        return _c_trig(nu, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), False, f"C-{nu}")
-    dv = dual_view(p)
-    return _c_q(nu, p.q, p.t, p.tau, p.ts, dv.tauhat, False, prefactor, f"C-{nu}")
+    return _c(nu, p, path, False, False, prefactor, f"C-{nu}")
 
 
 def chat_plus(lam, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
     """Dual c-function Chat_+(lam).  Fully rational in the base parameters:
     the dual scalars enter only through pairwise products and the prefactor
     is prod_j tau_j^(lam_j)."""
-    check_dominant(lam)
-    if _pick_path(p, path) == "trig":
-        ts = p.trig.dual()
-        return _c_trig(lam, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), True, f"Chat+{lam}")
-    dv = dual_view(p)
-    return _c_q(lam, p.q, p.t, dv.tauhat, dv.that_slots, p.tau, True, prefactor, f"Chat+{lam}")
+    return _c(lam, p, path, True, True, prefactor, f"Chat+{lam}")
 
 
 def chat_minus(lam, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
-    check_dominant(lam)
-    if _pick_path(p, path) == "trig":
-        ts = p.trig.dual()
-        return _c_trig(lam, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), False, f"Chat-{lam}")
-    dv = dual_view(p)
-    return _c_q(lam, p.q, p.t, dv.tauhat, dv.that_slots, p.tau, False, prefactor, f"Chat-{lam}")
+    return _c(lam, p, path, False, True, prefactor, f"Chat-{lam}")
 
 
 def delta(nu, p: ParamSet, *, path: str = "auto"):
@@ -304,25 +296,13 @@ def _freeze(values, dtype):
     return arr
 
 
-@lru_cache(maxsize=None)
-def weight_table(p: ParamSet, path: str = "auto") -> WeightTable:
-    """Compute (once per parameter set) every table entry over the alcove."""
-    p.require_truncated()
-    alcove = tuple(enumerate_alcove(p.n, p.N))
-    dtype = np.result_type(np.asarray(p.q).dtype, np.complex128)
-    if path == "auto" and dtype != np.complex128:
-        path = "qpoch"  # extended precision lives on the scalar product route
-    cp = [c_plus(nu, p, path=path) for nu in alcove]
-    cm = [c_minus(nu, p, path=path) for nu in alcove]
+def _table(params, alcove, cp, cm, chp, chm, dtype) -> WeightTable:
+    """Assemble a table from its c-function lists over the alcove."""
     dl = [1.0 / (a * b) for a, b in zip(cp, cm)]
-    chp = [chat_plus(lam, p, path=path) for lam in alcove]
-    chm = [chat_minus(lam, p, path=path) for lam in alcove]
     dh = [1.0 / (a * b) for a, b in zip(chp, chm)]
     nr = [b / a for a, b in zip(chp, chm)]
-    one = sum(dl)
-    index = {lam: i for i, lam in enumerate(alcove)}
     return WeightTable(
-        params=p,
+        params=params,
         alcove=alcove,
         c_plus=_freeze(cp, dtype),
         c_minus=_freeze(cm, dtype),
@@ -331,9 +311,24 @@ def weight_table(p: ParamSet, path: str = "auto") -> WeightTable:
         chat_minus=_freeze(chm, dtype),
         delta_hat=_freeze(dh, dtype),
         norm_ratio=_freeze(nr, dtype),
-        one_one=one,
-        index=index,
+        one_one=sum(dl),
+        index={lam: i for i, lam in enumerate(alcove)},
     )
+
+
+@lru_cache(maxsize=None)
+def weight_table(p: ParamSet) -> WeightTable:
+    """Compute (once per parameter set) every table entry over the alcove."""
+    p.require_truncated()
+    alcove = tuple(enumerate_alcove(p.n, p.N))
+    dtype = np.result_type(np.asarray(p.q).dtype, np.complex128)
+    # Extended precision lives on the scalar product route.
+    path = "auto" if dtype == np.complex128 else "qpoch"
+    cp = [c_plus(nu, p, path=path) for nu in alcove]
+    cm = [c_minus(nu, p, path=path) for nu in alcove]
+    chp = [chat_plus(lam, p, path=path) for lam in alcove]
+    chm = [chat_minus(lam, p, path=path) for lam in alcove]
+    return _table(p, alcove, cp, cm, chp, chm, dtype)
 
 
 def one_one(p: ParamSet):
@@ -347,8 +342,11 @@ def one_one(p: ParamSet):
 # ---------------------------------------------------------------------------
 
 
-def _c_r(nu, g, g4, rho, plus: bool, context: str):
-    ga, gb, gc, gd = g4
+def _c_r(nu, rp: RacahParams, dual: bool, plus: bool, context: str):
+    check_dominant(nu)
+    g = rp.g
+    ga, gb, gc, gd = rp.ghat() if dual else rp.g_role
+    rho = rp.rho_hat if dual else rp.rho
     n = len(nu)
     fp = _Product()
     for j in range(n):
@@ -378,17 +376,11 @@ def _c_r(nu, g, g4, rho, plus: bool, context: str):
 
 
 def c_plus_racah(nu, rp: RacahParams, *, dual: bool = False):
-    check_dominant(nu)
-    g4 = rp.ghat() if dual else rp.g_role
-    rho = rp.rho_hat if dual else rp.rho
-    return _c_r(nu, rp.g, g4, rho, True, f"CR+{nu}")
+    return _c_r(nu, rp, dual, True, f"CR+{nu}")
 
 
 def c_minus_racah(nu, rp: RacahParams, *, dual: bool = False):
-    check_dominant(nu)
-    g4 = rp.ghat() if dual else rp.g_role
-    rho = rp.rho_hat if dual else rp.rho
-    return _c_r(nu, rp.g, g4, rho, False, f"CR-{nu}")
+    return _c_r(nu, rp, dual, False, f"CR-{nu}")
 
 
 def delta_racah(nu, rp: RacahParams, *, dual: bool = False):
@@ -405,22 +397,6 @@ def racah_table(rp: RacahParams) -> WeightTable:
     alcove = tuple(enumerate_alcove(rp.n, rp.N))
     cp = [c_plus_racah(nu, rp) for nu in alcove]
     cm = [c_minus_racah(nu, rp) for nu in alcove]
-    dl = [1.0 / (a * b) for a, b in zip(cp, cm)]
     chp = [c_plus_racah(lam, rp, dual=True) for lam in alcove]
     chm = [c_minus_racah(lam, rp, dual=True) for lam in alcove]
-    dh = [1.0 / (a * b) for a, b in zip(chp, chm)]
-    nr = [b / a for a, b in zip(chp, chm)]
-    index = {lam: i for i, lam in enumerate(alcove)}
-    return WeightTable(
-        params=rp,
-        alcove=alcove,
-        c_plus=_freeze(cp, complex),
-        c_minus=_freeze(cm, complex),
-        delta=_freeze(dl, complex),
-        chat_plus=_freeze(chp, complex),
-        chat_minus=_freeze(chm, complex),
-        delta_hat=_freeze(dh, complex),
-        norm_ratio=_freeze(nr, complex),
-        one_one=sum(dl),
-        index=index,
-    )
+    return _table(rp, alcove, cp, cm, chp, chm, complex)

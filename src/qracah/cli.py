@@ -39,6 +39,7 @@ import numpy as np
 from . import operators as ops
 from . import transform as tr
 from .cfunctions import racah_table, weight_table
+from .errors import DegenerateParameterError, PoleError, SingularEvaluationError
 from .params import RacahParams, from_trig, in_positivity_domain, racah_params
 from .polynomials import (
     build_family,
@@ -481,7 +482,13 @@ def cmd_verify(s: Session, out: Path, args) -> int:
     all_pass = True
     for name in names:
         start = time.perf_counter()
-        residual, tolerance = registry[name](s)
+        try:
+            residual, tolerance = registry[name](s)
+            error = None
+        except (PoleError, SingularEvaluationError, DegenerateParameterError) as exc:
+            # A suite that raised fails with an unbounded residual and no
+            # tolerance of its own; the remaining suites still run.
+            residual, tolerance, error = math.inf, math.nan, type(exc).__name__
         if args.tol is not None:
             tolerance = args.tol
         passed = bool(residual < tolerance)
@@ -492,15 +499,16 @@ def cmd_verify(s: Session, out: Path, args) -> int:
             f"{'pass' if passed else 'FAIL'}",
         )
         print(f"  ({elapsed:.2f}s)", file=sys.stderr)
-        report.append(
-            {
-                "suite": name,
-                "parameters": config_digest(args.config, s.seed),
-                "max_residual": residual,
-                "tolerance": tolerance,
-                "pass": passed,
-            }
-        )
+        entry = {
+            "suite": name,
+            "parameters": config_digest(args.config, s.seed),
+            "max_residual": residual,
+            "tolerance": tolerance,
+            "pass": passed,
+        }
+        if error is not None:
+            entry["error"] = error
+        report.append(entry)
     write_json(out / "verify_report.json", report)
     return 0 if all_pass else 1
 

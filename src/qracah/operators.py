@@ -17,13 +17,19 @@ restricted operator takes the kernel form with
 and equals the analytic restriction divided by the constant
 t^(n-1) (t_0 t_1 t_2 t_3 q^-1)^(1/2).
 
-The same kernels, taken at the dual parameters and evaluated on the dual
-grid, are the expansion coefficients of the Pieri-type recurrences: the
-product of a renormalized polynomial with the elementary multiplier E_r
-expands over neighbouring weights with coefficients Vhat/Uhat.  Every such
+One walker, _shift_terms, yields the stationary U term and every shift V
+term of the order-2r operator at one weight whose shift stays in the
+alcove; operator_matrix fills a dense matrix from it and apply_dr
+multiplies by that matrix.  The walker takes a kernel side, so it serves
+both sides and both levels: at the dual parameters on the dual grid its
+terms are the Pieri coefficients Vhat/Uhat (E_r times a renormalized
+polynomial expands over neighbouring weights), and with the q -> 1 kernels
+at r = 1 it is the degenerate second-order operator.  Every such
 coefficient contains an even number of v-kernels, so the half power of t
 they formally carry folds into an exact integer power; evaluation is fully
-rational in the base parameters and free of branch choices.
+rational in the base parameters and free of branch choices.  apply_d, the
+difference form on the analytic coefficients, is kept as an independent
+reference.
 
 The flip identity Delta(nu + eps e_j) V_(-eps j) = Delta(nu) V_(eps j) and
 its building blocks (the c-function difference equations with their
@@ -138,12 +144,8 @@ def trig_w(xi, alpha, g4):
 def v_coeff_trig(eps: int, j: int, x, ts, n: int):
     """Kernel-form coefficient w(eps x_j) prod v(eps x_j +- x_k) on the log
     grid (real arguments, real value)."""
-    out = trig_w(eps * x[j], ts.alpha, ts.g_role)
-    for k in range(n):
-        if k != j:
-            out *= trig_v(eps * x[j] + x[k], ts.alpha, ts.g)
-            out *= trig_v(eps * x[j] - x[k], ts.alpha, ts.g)
-    return out
+    comp = [k for k in range(n) if k != j]
+    return coeff_v(_TrigSide(x, ts.alpha, ts.g, ts.g_role), (j,), (eps,), comp)
 
 
 def restriction_constant(p: ParamSet):
@@ -273,9 +275,7 @@ def apply_d(f, p: ParamSet, *, path: str = "auto", analytic: bool = False) -> np
     p.require_truncated()
     mode = _pick_path(p, path)
     alcove, index = _alcove_index(p.n, p.N)
-    f = np.asarray(f)
-    if f.shape != (len(alcove),):
-        raise ValueError("grid function has the wrong length")
+    f = _grid_function(f, p.n, p.N)
     out = np.zeros(len(alcove), dtype=np.result_type(f.dtype, np.complex128))
     const = restriction_constant(p)
     rho = np.array(p.trig.rho(p.n)) if p.trig is not None else None
@@ -310,17 +310,8 @@ def v_coeff_racah(eps: int, j: int, x, rp) -> float:
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    xj = eps * x[j]
-    nums = [gr + xj for gr in rp.gs]
-    dens = [2 * xj, 1 + 2 * xj]
-    for k in range(rp.n):
-        if k == j:
-            continue
-        nums.append(rp.g + xj + x[k])
-        nums.append(rp.g + xj - x[k])
-        dens.append(xj + x[k])
-        dens.append(xj - x[k])
-    return _guarded_ratio(nums, dens, f"degenerate coefficient pole at {j}")
+    comp = [k for k in range(rp.n) if k != j]
+    return coeff_v(_RacahSide(x, rp.g, rp.gs), (j,), (eps,), comp)
 
 
 def apply_d_racah(f, rp, *, dual: bool = False) -> np.ndarray:
@@ -330,24 +321,10 @@ def apply_d_racah(f, rp, *, dual: bool = False) -> np.ndarray:
     the quadratic eigenvalues sum_j ((lam_j + rhohat_j)^2 - rhohat_j^2)."""
     rp.require_truncated()
     base = rp.dual() if dual else rp
-    alcove, index = _alcove_index(rp.n, rp.N)
-    f = np.asarray(f)
-    if f.shape != (len(alcove),):
-        raise ValueError("grid function has the wrong length")
+    f = _grid_function(f, rp.n, rp.N)
     rho = np.array(base.rho)
-    out = np.zeros(len(alcove), dtype=np.result_type(f.dtype, np.complex128))
-    for i, nu in enumerate(alcove):
-        x = rho + np.array(nu)
-        acc = 0.0
-        for j in range(rp.n):
-            for eps in (1, -1):
-                shifted = tuple(v + (eps if k == j else 0) for k, v in enumerate(nu))
-                if not in_alcove(shifted, rp.N):
-                    continue
-                w = v_coeff_racah(eps, j, x, base)
-                acc = acc + w * (f[index[shifted]] - f[i])
-        out[i] = acc
-    return out
+    D = _stencil_matrix(1, rp.n, rp.N, lambda nu: _RacahSide(rho + np.array(nu), base.g, base.gs))
+    return D @ f
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +383,28 @@ class _TrigSide:
         return 1.0
 
 
+class _RacahSide:
+    """Kernels of the q -> 1 level, rational in the real coordinates; no
+    half powers of t appear, so nothing is folded."""
+
+    def __init__(self, x, g, gs):
+        self.x = x
+        self.g = g
+        self.gs = gs
+
+    def w1(self, j, eps):
+        xj = eps * self.x[j]
+        nums = [gr + xj for gr in self.gs]
+        return _guarded_ratio(nums, [2 * xj, 1 + 2 * xj], "degenerate w-kernel pole")
+
+    def vraw(self, j, ej, k, ek, shift):
+        xi = ej * self.x[j] + ek * self.x[k] + shift
+        return _guarded_ratio([self.g + xi], [xi], "degenerate v-kernel pole")
+
+    def fold(self, mcount):
+        return 1.0
+
+
 def _primal_side(p: ParamSet, nu, mode: str):
     if mode == "trig":
         ts = p.trig
@@ -423,8 +422,11 @@ def _dual_side(p: ParamSet, lam, mode: str):
     return _RationalSide(zhat, p.q, p.t, dv.that_role, p.t_a)
 
 
-def coeff_v(side, J, epsJ, K):
-    """Shift coefficient V_(eps J, K) at the side's coordinates."""
+def _kernel_product(side, J, epsJ, K, s: int):
+    """Kernel product over the moved indices J (signs epsJ) and the fixed
+    indices K: a shift coefficient for s = 1, one term of the stationary sum
+    for s = -1 (the second v-kernel of each moved pair flips its signs and
+    shift)."""
     val = 1.0
     count = 0
     for j, ej in zip(J, epsJ):
@@ -432,7 +434,7 @@ def coeff_v(side, J, epsJ, K):
     for a in range(len(J)):
         for b in range(a + 1, len(J)):
             val = val * side.vraw(J[a], epsJ[a], J[b], epsJ[b], 0)
-            val = val * side.vraw(J[a], epsJ[a], J[b], epsJ[b], 1)
+            val = val * side.vraw(J[a], s * epsJ[a], J[b], s * epsJ[b], s)
             count += 2
     for j, ej in zip(J, epsJ):
         for k in K:
@@ -440,6 +442,11 @@ def coeff_v(side, J, epsJ, K):
             val = val * side.vraw(j, ej, k, -1, 0)
             count += 2
     return val * side.fold(count)
+
+
+def coeff_v(side, J, epsJ, K):
+    """Shift coefficient V_(eps J, K) at the side's coordinates."""
+    return _kernel_product(side, J, epsJ, K, 1)
 
 
 def coeff_u(side, K, order):
@@ -450,54 +457,61 @@ def coeff_u(side, K, order):
     for L in itertools.combinations(K, order):
         rest = [k for k in K if k not in L]
         for eps in itertools.product((1, -1), repeat=order):
-            val = 1.0
-            count = 0
-            for l, el in zip(L, eps):
-                val = val * side.w1(l, el)
-            for a in range(order):
-                for b in range(a + 1, order):
-                    val = val * side.vraw(L[a], eps[a], L[b], eps[b], 0)
-                    val = val * side.vraw(L[a], -eps[a], L[b], -eps[b], -1)
-                    count += 2
-            for l, el in zip(L, eps):
-                for k in rest:
-                    val = val * side.vraw(l, el, k, 1, 0)
-                    val = val * side.vraw(l, el, k, -1, 0)
-                    count += 2
-            total = total + val * side.fold(count)
+            total = total + _kernel_product(side, L, eps, rest, -1)
     return total * (-1) ** order
 
 
-def apply_dr(r: int, f, p: ParamSet, *, path: str = "auto") -> np.ndarray:
-    """The commuting discrete operator of order 2r acting on a grid
-    function; r = 1 reproduces the second-order operator."""
+def _shift_terms(side, r: int, nu, N: int):
+    """Yield (target, coefficient) for every term of the order-2r operator
+    at nu whose shift stays in the alcove, the stationary U term first."""
+    indices = list(range(len(nu)))
+    for size in range(0, r + 1):
+        for J in itertools.combinations(indices, size):
+            comp = [k for k in indices if k not in J]
+            ucoef = coeff_u(side, comp, r - size)
+            for eps in itertools.product((1, -1), repeat=size):
+                target = list(nu)
+                for j, ej in zip(J, eps):
+                    target[j] += ej
+                target = tuple(target)
+                if in_alcove(target, N):
+                    yield target, ucoef * coeff_v(side, J, eps, comp)
+
+
+def _stencil_matrix(r: int, n: int, N: int, side_at) -> np.ndarray:
+    """Dense matrix of the order-2r operator over the alcove; side_at(nu)
+    gives the kernel side at each grid weight."""
+    alcove, index = _alcove_index(n, N)
+    out = np.zeros((len(alcove), len(alcove)), dtype=complex)
+    for i, nu in enumerate(alcove):
+        for target, coeff in _shift_terms(side_at(nu), r, nu, N):
+            out[i, index[target]] = coeff
+    return out
+
+
+def _grid_function(f, n: int, N: int) -> np.ndarray:
+    f = np.asarray(f)
+    if f.shape != (len(_alcove_index(n, N)[0]),):
+        raise ValueError("grid function has the wrong length")
+    return f
+
+
+def operator_matrix(r: int, p: ParamSet) -> np.ndarray:
+    """Matrix of the commuting discrete operator of order 2r on the grid,
+    rows and columns in the graded total order; r = 1 reproduces the
+    second-order operator."""
     if not 1 <= r <= p.n:
         raise ValueError("operator order must satisfy 1 <= r <= n")
     p.require_truncated()
-    mode = _pick_path(p, path)
-    alcove, index = _alcove_index(p.n, p.N)
-    f = np.asarray(f)
-    if f.shape != (len(alcove),):
-        raise ValueError("grid function has the wrong length")
-    out = np.zeros(len(alcove), dtype=np.result_type(f.dtype, np.complex128))
-    indices = list(range(p.n))
-    for i, nu in enumerate(alcove):
-        side = _primal_side(p, nu, mode)
-        acc = 0.0
-        for size in range(0, r + 1):
-            for J in itertools.combinations(indices, size):
-                comp = [k for k in indices if k not in J]
-                ucoef = coeff_u(side, comp, r - size)
-                for eps in itertools.product((1, -1), repeat=size):
-                    shifted = list(nu)
-                    for j, ej in zip(J, eps):
-                        shifted[j] += ej
-                    shifted = tuple(shifted)
-                    if not in_alcove(shifted, p.N):
-                        continue
-                    acc = acc + ucoef * coeff_v(side, J, eps, comp) * f[index[shifted]]
-        out[i] = acc
-    return out
+    mode = _pick_path(p, "auto")
+    return _stencil_matrix(r, p.n, p.N, lambda nu: _primal_side(p, nu, mode))
+
+
+def apply_dr(r: int, f, p: ParamSet) -> np.ndarray:
+    """The commuting discrete operator of order 2r acting on a grid
+    function; r = 1 reproduces the second-order operator."""
+    f = _grid_function(f, p.n, p.N)
+    return operator_matrix(r, p) @ f
 
 
 # ---------------------------------------------------------------------------
@@ -588,27 +602,15 @@ def pieri_residual(r: int, lam, p: ParamSet, renorm, *, path: str = "auto"):
     npts = len(alcove)
     pos = renorm.position
     side = _dual_side(p, lam, mode)
-    indices = list(range(p.n))
 
     evec = np.array([e_multiplier(r, nu, p) for nu in alcove])
     lhs = evec * renorm.values[pos(lam)]
     rhs = np.zeros(npts, dtype=complex)
     scale = np.abs(lhs).copy()
-    for size in range(0, r + 1):
-        for J in itertools.combinations(indices, size):
-            comp = [k for k in indices if k not in J]
-            ucoef = coeff_u(side, comp, r - size)
-            for eps in itertools.product((1, -1), repeat=size):
-                target = list(lam)
-                for j, ej in zip(J, eps):
-                    target[j] += ej
-                target = tuple(target)
-                if not in_alcove(target, p.N):
-                    continue
-                coeff = ucoef * coeff_v(side, J, eps, comp)
-                row = renorm.values[pos(target)]
-                rhs = rhs + coeff * row
-                scale = scale + abs(coeff) * np.abs(row)
+    for target, coeff in _shift_terms(side, r, lam, p.N):
+        row = renorm.values[pos(target)]
+        rhs = rhs + coeff * row
+        scale = scale + abs(coeff) * np.abs(row)
     resid = np.abs(lhs - rhs)
     return float(np.max(resid / np.maximum(scale, 1e-300)))
 
@@ -621,13 +623,30 @@ def plancherel_flatness(renorm, table) -> float:
     return float(np.max(np.abs(values - ref)) / abs(ref))
 
 
+def _raised(lam, r: int, N: int):
+    """The pair (lam, lam + omega_r), both required to lie in the alcove."""
+    lam = tuple(lam)
+    upper = tuple(v + (1 if i < r else 0) for i, v in enumerate(lam))
+    if not (in_alcove(lam, N) and in_alcove(upper, N)):
+        raise ValueError("both weights must lie in the alcove")
+    return lam, upper
+
+
+def _extremal_pieri(lam, upper, r: int, p: ParamSet, path: str):
+    """The two extremal Pieri coefficients Vhat_(+omega_r)(lam) and
+    Vhat_(-omega_r)(lam + omega_r)."""
+    mode = _pick_path(p, path)
+    J = tuple(range(r))
+    K = list(range(r, p.n))
+    v_up = coeff_v(_dual_side(p, lam, mode), J, (1,) * r, K)
+    v_dn = coeff_v(_dual_side(p, upper, mode), J, (-1,) * r, K)
+    return v_up, v_dn
+
+
 def norm_recurrence_residual(lam, r: int, p: ParamSet, renorm, table) -> float:
     """Relative residual of <P_lam, P_lam> Deltahat(lam) =
     <P_(lam+omega_r), P_(lam+omega_r)> Deltahat(lam + omega_r)."""
-    lam = tuple(lam)
-    upper = tuple(v + (1 if i < r else 0) for i, v in enumerate(lam))
-    if not (in_alcove(lam, p.N) and in_alcove(upper, p.N)):
-        raise ValueError("both weights must lie in the alcove")
+    lam, upper = _raised(lam, r, p.N)
     i, k = renorm.position(lam), renorm.position(upper)
     lhs = renorm.norms[i] * table.delta_hat[i]
     rhs = renorm.norms[k] * table.delta_hat[k]
@@ -638,15 +657,8 @@ def raisefund_residual(lam, r: int, p: ParamSet, renorm, *, path: str = "auto"):
     """Residual of the raising relation connecting <P_lam, P_lam> and
     <P_(lam+omega_r), P_(lam+omega_r)> through the two extremal Pieri
     coefficients."""
-    lam = tuple(lam)
-    upper = tuple(v + (1 if i < r else 0) for i, v in enumerate(lam))
-    if not (in_alcove(lam, p.N) and in_alcove(upper, p.N)):
-        raise ValueError("both weights must lie in the alcove")
-    mode = _pick_path(p, path)
-    J = tuple(range(r))
-    K = list(range(r, p.n))
-    v_up = coeff_v(_dual_side(p, lam, mode), J, (1,) * r, K)
-    v_dn = coeff_v(_dual_side(p, upper, mode), J, (-1,) * r, K)
+    lam, upper = _raised(lam, r, p.N)
+    v_up, v_dn = _extremal_pieri(lam, upper, r, p, path)
     n_lam = renorm.norms[renorm.position(lam)]
     n_up = renorm.norms[renorm.position(upper)]
     lhs = v_up * n_up
@@ -660,17 +672,10 @@ def chat_step_residuals(lam, r: int, p: ParamSet, *, path: str = "auto"):
         Chat_+(lam) / Chat_+(lam + omega_r) = Vhat_(+omega_r)(lam),
         Chat_-(lam + omega_r) / Chat_-(lam) = Vhat_(-omega_r)(lam + omega_r).
     """
-    lam = tuple(lam)
-    upper = tuple(v + (1 if i < r else 0) for i, v in enumerate(lam))
-    if not (in_alcove(lam, p.N) and in_alcove(upper, p.N)):
-        raise ValueError("both weights must lie in the alcove")
-    mode = _pick_path(p, path)
-    J = tuple(range(r))
-    K = list(range(r, p.n))
+    lam, upper = _raised(lam, r, p.N)
     ratio_p = chat_plus(lam, p) / chat_plus(upper, p)
     ratio_m = chat_minus(upper, p) / chat_minus(lam, p)
-    v_up = coeff_v(_dual_side(p, lam, mode), J, (1,) * r, K)
-    v_dn = coeff_v(_dual_side(p, upper, mode), J, (-1,) * r, K)
+    v_up, v_dn = _extremal_pieri(lam, upper, r, p, path)
     res_p = abs(ratio_p - v_up) / max(abs(ratio_p), abs(v_up))
     res_m = abs(ratio_m - v_dn) / max(abs(ratio_m), abs(v_dn))
     return res_p, res_m

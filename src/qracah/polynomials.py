@@ -39,11 +39,25 @@ from .params import ParamSet, RacahParams, lift_racah
 from .weights import dominance_leq, enumerate_alcove, orbit, permutation_orbit
 
 _TINY = 1e-300
+#: Largest relative projection onto a dominance-incomparable member that
+#: Gram-Schmidt accepts as numerically zero.
+_DROPTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
 # Monomials and grids
 # ---------------------------------------------------------------------------
+
+
+def _orbit_powers(lam, pts, basis: str):
+    """The exponent vectors of the symmetrized monomial m_lam in a basis."""
+    if basis == "bc":
+        if np.any(pts == 0):
+            raise ValueError("monomials need nonzero coordinates")
+        return [np.array(vec) for vec in orbit(tuple(lam))]
+    if basis == "even":
+        return [2 * np.array(vec) for vec in permutation_orbit(tuple(lam))]
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 def monomial_point(lam, z, basis: str = "bc"):
@@ -53,31 +67,16 @@ def monomial_point(lam, z, basis: str = "bc"):
     basis "even": sum over plain permutations of prod x_j^(2 mu_j).
     """
     z = np.asarray(z)
-    if basis == "bc":
-        if np.any(z == 0):
-            raise ValueError("monomials need nonzero coordinates")
-        return sum(np.prod(z ** np.array(vec)) for vec in orbit(tuple(lam)))
-    if basis == "even":
-        return sum(np.prod(z ** (2 * np.array(vec))) for vec in permutation_orbit(tuple(lam)))
-    raise ValueError(f"unknown basis {basis!r}")
+    return sum(np.prod(z ** vec) for vec in _orbit_powers(lam, z, basis))
 
 
 def monomial_values(lam, pts, basis: str = "bc"):
     """Symmetrized monomial on an array of points of shape (npts, n)."""
     pts = np.asarray(pts)
-    if basis == "bc":
-        if np.any(pts == 0):
-            raise ValueError("monomials need nonzero coordinates")
-        vecs = orbit(tuple(lam))
-        power = 1
-    elif basis == "even":
-        vecs = permutation_orbit(tuple(lam))
-        power = 2
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+    vecs = _orbit_powers(lam, pts, basis)
     out = np.zeros(pts.shape[0], dtype=np.result_type(pts.dtype, np.complex128))
     for vec in vecs:
-        out += np.prod(pts ** (power * np.array(vec)), axis=1)
+        out += np.prod(pts ** vec, axis=1)
     return out
 
 
@@ -157,6 +156,9 @@ class OrthogonalFamily:
 
     def __post_init__(self):
         self._index = {lam: i for i, lam in enumerate(self.alcove)}
+        # Families are shared through the transform-context cache.
+        for arr in (self.values, self.norms):
+            arr.setflags(write=False)
 
     def poly(self, lam) -> SymPoly:
         i = self.position(lam)
@@ -167,7 +169,7 @@ class OrthogonalFamily:
         return scaled @ self.values.T
 
 
-def _gram_schmidt(alcove, mvals, delta, droptol: float):
+def _gram_schmidt(alcove, mvals, delta):
     nw = len(alcove)
     values = np.zeros_like(mvals)
     coeffs: list = []
@@ -191,7 +193,7 @@ def _gram_schmidt(alcove, mvals, delta, droptol: float):
                 scale = np.sum(np.abs(mvals[i]) * np.abs(values[j]) * absdelta)
                 rel = abs(raw) / max(float(scale), _TINY)
                 maxdrop = max(maxdrop, rel)
-                if rel > droptol:
+                if rel > _DROPTOL:
                     raise DegenerateParameterError(
                         f"projection onto incomparable weight {mu} did not vanish "
                         f"(relative size {rel:.2e}); parameters appear non-generic"
@@ -215,44 +217,21 @@ def _gram_schmidt(alcove, mvals, delta, droptol: float):
     return values, tuple(coeffs), np.array(norms), maxdrop
 
 
-def build_family(p: ParamSet, *, table: WeightTable | None = None, droptol: float = 1e-10) -> OrthogonalFamily:
+def _family(params, table: WeightTable, grid, basis: str) -> OrthogonalFamily:
+    mvals = np.array([monomial_values(lam, grid, basis) for lam in table.alcove])
+    # values, coeffs, norms, max_incomparable_projection
+    found = _gram_schmidt(table.alcove, mvals, table.delta)
+    return OrthogonalFamily(params, basis, table.alcove, grid, table.delta, *found)
+
+
+def build_family(p: ParamSet, *, table: WeightTable | None = None) -> OrthogonalFamily:
     """Gram-Schmidt construction of the monic family on the grid tau q^nu."""
-    table = table if table is not None else weight_table(p)
-    alcove = table.alcove
-    grid = grid_points(p)
-    mvals = np.array([monomial_values(lam, grid, "bc") for lam in alcove])
-    values, coeffs, norms, maxdrop = _gram_schmidt(alcove, mvals, table.delta, droptol)
-    return OrthogonalFamily(
-        params=p,
-        basis="bc",
-        alcove=alcove,
-        grid=grid,
-        delta=table.delta,
-        values=values,
-        coeffs=coeffs,
-        norms=norms,
-        max_incomparable_projection=maxdrop,
-    )
+    return _family(p, table if table is not None else weight_table(p), grid_points(p), "bc")
 
 
-def build_racah_family(rp: RacahParams, *, table: WeightTable | None = None, droptol: float = 1e-10) -> OrthogonalFamily:
+def build_racah_family(rp: RacahParams, *, table: WeightTable | None = None) -> OrthogonalFamily:
     """Gram-Schmidt construction of the degenerate family on rho + nu."""
-    table = table if table is not None else racah_table(rp)
-    alcove = table.alcove
-    grid = racah_grid_points(rp)
-    mvals = np.array([monomial_values(lam, grid, "even") for lam in alcove])
-    values, coeffs, norms, maxdrop = _gram_schmidt(alcove, mvals, table.delta, droptol)
-    return OrthogonalFamily(
-        params=rp,
-        basis="even",
-        alcove=alcove,
-        grid=grid,
-        delta=table.delta,
-        values=values,
-        coeffs=coeffs,
-        norms=norms,
-        max_incomparable_projection=maxdrop,
-    )
+    return _family(rp, table if table is not None else racah_table(rp), racah_grid_points(rp), "even")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +249,10 @@ class RenormalizedFamily:
     values: np.ndarray
     norms: np.ndarray  # <P, P> = Chat_+^2 <p, p>
     at_origin: np.ndarray  # values at the nu = 0 grid point
+
+    def __post_init__(self):
+        for arr in (self.values, self.norms, self.at_origin):
+            arr.setflags(write=False)
 
     def position(self, lam) -> int:
         return self.family.position(lam)
@@ -363,26 +346,28 @@ def _apply_analytic_d(fvals: Callable, z, p: ParamSet):
     return total
 
 
-def monomial_operator_matrix(span, p: ParamSet, rng=None, *, cond_max=1e8, attempts=20):
+def monomial_operator_matrix(span, p: ParamSet, rng=None):
     """Matrix of the difference operator on the span of dominated monomials.
 
     Column j holds the expansion of D m_(span[j]) over the span, recovered by
     evaluating at len(span) random points off the singular loci and solving
-    the interpolation system.  Returns (matrix, condition number).
+    the interpolation system.  The points are redrawn up to 20 times until
+    the condition number is below 1e6; if the best one stays above 1e8,
+    DegenerateParameterError is raised.  Returns (matrix, condition number).
     """
     rng = np.random.default_rng(0) if rng is None else rng
     span = [tuple(mu) for mu in span]
     d = len(span)
     best_pts, best_cond = None, np.inf
-    for _ in range(attempts):
+    for _ in range(20):
         pts = np.array([_sample_point(p.n, p.q, rng) for _ in range(d)])
         M = np.array([monomial_values(mu, pts, "bc") for mu in span]).T
         cond = np.linalg.cond(M.astype(np.complex128))
         if cond < best_cond:
             best_pts, best_cond, best_M = pts, cond, M
-        if cond < min(cond_max, 1e6):
+        if cond < 1e6:
             break
-    if best_cond > cond_max:
+    if best_cond > 1e8:
         raise DegenerateParameterError(
             f"interpolation system stayed ill-conditioned (cond {best_cond:.2e})"
         )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfunctions import WeightTable, racah_table, weight_table
-from .operators import apply_dr, e_multiplier
+from .operators import e_multiplier, operator_matrix
 from .params import ParamSet, RacahParams, dual_view, in_positivity_domain
 from .polynomials import (
     OrthogonalFamily,
@@ -45,14 +45,15 @@ from .polynomials import (
 
 @dataclass
 class TransformContext:
-    """Everything the transform needs for one parameter set: the primal and
-    dual weight tables and renormalized families, built once."""
+    """Everything the transform needs for one parameter set (a ParamSet, or
+    RacahParams at the q -> 1 level): the primal and dual weight tables and
+    renormalized families, built once."""
 
-    params: ParamSet
+    params: ParamSet | RacahParams
     table: WeightTable
     family: OrthogonalFamily
     renorm: RenormalizedFamily
-    dual_params: ParamSet
+    dual_params: ParamSet | RacahParams
     dual_table: WeightTable
     dual_family: OrthogonalFamily
     dual_renorm: RenormalizedFamily
@@ -65,20 +66,22 @@ class TransformContext:
 _CONTEXT_CACHE: dict = {}
 
 
-def transform_context(p: ParamSet) -> TransformContext:
+def _context(p, dual_of, table_of, family_of) -> TransformContext:
+    """The cached context of p; a miss builds table_of and family_of on p
+    and on its dual parameters dual_of(p)."""
     ctx = _CONTEXT_CACHE.get(p)
-    if ctx is not None:
-        return ctx
-    table = weight_table(p)
-    family = build_family(p, table=table)
-    renorm = renormalize(family, table)
-    dp = dual_view(p).dual_params()
-    dtable = weight_table(dp)
-    dfamily = build_family(dp, table=dtable)
-    drenorm = renormalize(dfamily, dtable)
-    ctx = TransformContext(p, table, family, renorm, dp, dtable, dfamily, drenorm)
-    _CONTEXT_CACHE[p] = ctx
+    if ctx is None:
+        fields = []
+        for side in (p, dual_of(p)):
+            table = table_of(side)
+            family = family_of(side, table=table)
+            fields += [side, table, family, renormalize(family, table)]
+        ctx = _CONTEXT_CACHE[p] = TransformContext(*fields)
     return ctx
+
+
+def transform_context(p: ParamSet) -> TransformContext:
+    return _context(p, lambda side: dual_view(side).dual_params(), weight_table, build_family)
 
 
 def _warn_if_branch_dependent(delta: np.ndarray) -> None:
@@ -90,17 +93,21 @@ def _warn_if_branch_dependent(delta: np.ndarray) -> None:
         )
 
 
-def build_k_matrix(ctx: TransformContext) -> np.ndarray:
-    """The orthogonal matrix K; square roots are principal (they are roots
-    of positive reals throughout the positivity domain)."""
+def _k_matrix(ctx: TransformContext) -> np.ndarray:
     table = ctx.table
-    p = ctx.params
-    if p.trig is None or not in_positivity_domain(p):
-        _warn_if_branch_dependent(table.delta.astype(complex))
     sd = np.sqrt(table.delta.astype(complex))
     sdh = np.sqrt(table.delta_hat.astype(complex))
     root = np.sqrt(complex(table.one_one))
     return ctx.renorm.values.astype(complex) * sdh[:, None] * sd[None, :] / root
+
+
+def build_k_matrix(ctx: TransformContext) -> np.ndarray:
+    """The orthogonal matrix K; square roots are principal (they are roots
+    of positive reals throughout the positivity domain)."""
+    p = ctx.params
+    if p.trig is None or not in_positivity_domain(p):
+        _warn_if_branch_dependent(ctx.table.delta.astype(complex))
+    return _k_matrix(ctx)
 
 
 def forward_kernel(ctx: TransformContext) -> np.ndarray:
@@ -137,16 +144,6 @@ def plancherel_residual(ctx: TransformContext, f, g) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _operator_matrix(p: ParamSet, r: int) -> np.ndarray:
-    size = len(weight_table(p).alcove)
-    cols = []
-    for i in range(size):
-        e = np.zeros(size)
-        e[i] = 1.0
-        cols.append(apply_dr(r, e, p))
-    return np.array(cols).T
-
-
 @dataclass(frozen=True)
 class DiagonalizationReport:
     r: int
@@ -159,8 +156,8 @@ def diagonalization_report(ctx: TransformContext, r: int) -> DiagonalizationRepo
     the dual multiplier (and the dual operator into the primal multiplier)."""
     K = forward_kernel(ctx)
     Kinv = inverse_kernel(ctx)
-    D = _operator_matrix(ctx.params, r)
-    Dhat = _operator_matrix(ctx.dual_params, r)
+    D = operator_matrix(r, ctx.params)
+    Dhat = operator_matrix(r, ctx.dual_params)
     ehat = np.array([e_multiplier(r, lam, ctx.params, dual=True) for lam in ctx.alcove])
     e = np.array([e_multiplier(r, nu, ctx.params) for nu in ctx.alcove])
     fwd = K @ D @ Kinv - np.diag(ehat.astype(complex))
@@ -178,43 +175,11 @@ def diagonalization_report(ctx: TransformContext, r: int) -> DiagonalizationRepo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RacahTransformContext:
-    params: RacahParams
-    table: WeightTable
-    family: OrthogonalFamily
-    renorm: RenormalizedFamily
-    dual_params: RacahParams
-    dual_table: WeightTable
-    dual_family: OrthogonalFamily
-    dual_renorm: RenormalizedFamily
-
-    @property
-    def alcove(self):
-        return self.table.alcove
+def racah_transform_context(rp: RacahParams) -> TransformContext:
+    return _context(rp, RacahParams.dual, racah_table, build_racah_family)
 
 
-def racah_transform_context(rp: RacahParams) -> RacahTransformContext:
-    ctx = _CONTEXT_CACHE.get(rp)
-    if ctx is not None:
-        return ctx
-    table = racah_table(rp)
-    family = build_racah_family(rp, table=table)
-    renorm = renormalize(family, table)
-    dp = rp.dual()
-    dtable = racah_table(dp)
-    dfamily = build_racah_family(dp, table=dtable)
-    drenorm = renormalize(dfamily, dtable)
-    ctx = RacahTransformContext(rp, table, family, renorm, dp, dtable, dfamily, drenorm)
-    _CONTEXT_CACHE[rp] = ctx
-    return ctx
-
-
-def build_k_matrix_racah(ctx: RacahTransformContext) -> np.ndarray:
-    table = ctx.table
-    _warn_if_branch_dependent(table.delta.astype(complex))
-    _warn_if_branch_dependent(table.delta_hat.astype(complex))
-    root = np.sqrt(complex(table.one_one))
-    sd = np.sqrt(table.delta.astype(complex))
-    sdh = np.sqrt(table.delta_hat.astype(complex))
-    return ctx.renorm.values.astype(complex) * sdh[:, None] * sd[None, :] / root
+def build_k_matrix_racah(ctx: TransformContext) -> np.ndarray:
+    _warn_if_branch_dependent(ctx.table.delta.astype(complex))
+    _warn_if_branch_dependent(ctx.table.delta_hat.astype(complex))
+    return _k_matrix(ctx)

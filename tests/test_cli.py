@@ -193,3 +193,24 @@ def test_extended_precision_flag(trig_config, tmp_path):
     assert code == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report[0]["max_residual"] < 1e-12
+
+
+def test_verify_survives_raising_suite(trig_config, tmp_path, monkeypatch):
+    """A suite that raises one of the package's errors becomes a failing
+    report entry; the other suites still run and the report is written."""
+
+    def raising(s):
+        raise qr.DegenerateParameterError("forced")
+
+    monkeypatch.setitem(cli._Q_SUITES, "cross", raising)
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", trig_config, "--out", str(out)])
+    assert code == 1
+    report = json.loads((out / "verify_report.json").read_text())
+    assert len(report) == 14
+    by_suite = {entry["suite"]: entry for entry in report}
+    failed = by_suite.pop("cross")
+    assert failed["pass"] is False
+    assert failed["max_residual"] == math.inf
+    assert failed["error"] == "DegenerateParameterError"
+    assert all(entry["pass"] and "error" not in entry for entry in by_suite.values())

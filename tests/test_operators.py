@@ -288,3 +288,16 @@ def test_racah_boundary_coefficient_vanishing(config_r):
                 shifted = tuple(v + (eps if k == j else 0) for k, v in enumerate(nu))
                 if not qr.in_alcove(shifted, rp.N):
                     assert abs(ops.v_coeff_racah(eps, j, x, rp)) < 1e-12
+
+
+def test_racah_dual_operator_eigen_equation(ctx_r, config_rpos):
+    """The dual degenerate operator acts on the dual family's rows with the
+    eigenvalues of the dual parameters."""
+    for ctx in (ctx_r, qr.racah_transform_context(config_rpos)):
+        rp, ren = ctx.params, ctx.dual_renorm
+        for lam in ren.alcove:
+            f = ren.values[ren.position(lam)]
+            got = ops.apply_d_racah(f, rp, dual=True)
+            ev = qr.eigenvalue_wilson(lam, rp.dual())
+            scale = max(np.max(np.abs(f)) * max(abs(ev), 1.0), 1.0)
+            assert np.max(np.abs(got - ev * f)) < 1e-9 * scale

@@ -139,3 +139,15 @@ def test_monomial_grid_matrix_condition_logged(ctx_a, capsys):
     cond = np.linalg.cond(M)
     print(f"monomial grid matrix condition number: {cond:.3e}")
     assert np.isfinite(cond)
+
+
+def test_context_arrays_are_read_only(ctx_a):
+    """Contexts are cached and shared, so their family arrays reject
+    in-place writes."""
+    ctx = tr.transform_context(ctx_a.params)
+    with pytest.raises(ValueError):
+        ctx.renorm.values[0, 0] = 0.0
+    arrays = (ctx.family.values, ctx.family.norms, ctx.renorm.norms, ctx.renorm.at_origin)
+    for arr in arrays + (ctx.dual_renorm.values,):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
