@@ -17,18 +17,28 @@ restricted operator takes the kernel form with
 and equals the analytic restriction divided by the constant
 t^(n-1) (t_0 t_1 t_2 t_3 q^-1)^(1/2).
 
-One walker, _shift_terms, yields the stationary U term and every shift V
-term of the order-2r operator at one weight whose shift stays in the
-alcove; operator_matrix fills a dense matrix from it and apply_dr
-multiplies by that matrix.  The walker takes a kernel side, so it serves
-both sides and both levels: at the dual parameters on the dual grid its
-terms are the Pieri coefficients Vhat/Uhat (E_r times a renormalized
-polynomial expands over neighbouring weights), and with the q -> 1 kernels
-at r = 1 it is the degenerate second-order operator.  Every such
-coefficient contains an even number of v-kernels, so the half power of t
-they formally carry folds into an exact integer power; evaluation is fully
-rational in the base parameters and free of branch choices.  apply_d, the
-difference form on the analytic coefficients, is kept as an independent
+One builder, _stencil_matrix, fills the dense matrix of the order-2r
+operator over the whole alcove.  It walks the terms (J, eps) once and
+evaluates each kernel product over the alcove as one array: the stationary
+U coefficient of each index set J at every grid weight, the shift
+coefficient V of each (J, eps) only at the weights whose shift stays in the
+alcove.  The products are scattered through shift-target index arrays built
+once per (n, N, J, eps).  Coordinates are component-major, shape (n,) for
+one weight or (n, m) for a batch, so the kernel sides, coeff_u and coeff_v
+serve a single point and a batch alike.
+
+operator_matrix keeps each matrix, read-only, in a bounded LRU cache keyed
+by (r, p, mode), and apply_dr multiplies by it.  The builder takes a kernel
+side, so it serves both sides and both levels.  The primal matrix at the
+dual parameters has the Pieri coefficients Vhat/Uhat as its rows (E_r
+times a renormalized polynomial expands over neighbouring weights), so
+pieri_residual reads row pos(lam) of that cached matrix, the same cache
+entry as the dual operator of transform.diagonalization_report.  With the q -> 1 kernels at r = 1 the builder
+gives the degenerate second-order operator.  Every coefficient contains an
+even number of v-kernels, so the half power of t they formally carry folds
+into an exact integer power; evaluation is fully rational in the base
+parameters and free of branch choices.  apply_d, the difference form on
+the analytic coefficients, batched per (j, eps), is kept as an independent
 reference.
 
 The flip identity Delta(nu + eps e_j) V_(-eps j) = Delta(nu) V_(eps j) and
@@ -64,8 +74,10 @@ def _alcove_index(n, N):
 
 
 def _grid_point(p: ParamSet, nu) -> np.ndarray:
+    """tau q^nu for one weight, shape (n,), or for a component-major batch
+    of weights, shape (n, m)."""
     tau = np.array(p.tau)
-    return tau * np.asarray(p.q) ** np.array(nu)
+    return (tau * np.asarray(p.q) ** np.asarray(nu).T).T
 
 
 def _guarded_ratio(nums, dens, context: str):
@@ -77,20 +89,31 @@ def _guarded_ratio(nums, dens, context: str):
     where a structurally zero numerator factor is present as well; the value
     continued along the parameter family is zero there.  A vanishing
     denominator without enough numerator zeros is a genuine singularity.
+
+    The factors are all scalars, or all arrays over one batch of points;
+    a batch gets the same rule point by point, and a genuine singularity at
+    any of its points raises.
     """
+    if isinstance(dens[0], np.ndarray):
+        return _guarded_ratio_batch(nums, dens, context)
     den_zeros = sum(1 for f in dens if abs(f) < KERNEL_ZERO_TOL)
     if den_zeros == 0:
-        num = 1.0
-        for f in nums:
-            num = num * f
-        den = 1.0
-        for f in dens:
-            den = den * f
-        return num / den
+        return math.prod(nums) / math.prod(dens)
     num_zeros = sum(1 for f in nums if abs(f) < KERNEL_ZERO_TOL)
     if num_zeros >= den_zeros:
         return 0.0
     raise SingularEvaluationError(context)
+
+
+def _guarded_ratio_batch(nums, dens, context: str):
+    den_zeros = sum(np.abs(f) < KERNEL_ZERO_TOL for f in dens)
+    if not np.any(den_zeros):
+        return math.prod(nums) / math.prod(dens)
+    num_zeros = sum(np.abs(f) < KERNEL_ZERO_TOL for f in nums)
+    if np.any(num_zeros < den_zeros):
+        raise SingularEvaluationError(context)
+    removable = den_zeros > 0
+    return np.where(removable, 0.0, math.prod(nums) / np.where(removable, 1.0, math.prod(dens)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +141,8 @@ def v_coeff(eps: int, j: int, z, p: ParamSet):
 
 def trig_v(xi, alpha, g):
     return _guarded_ratio(
-        [math.sin(alpha * (g + xi) / 2)],
-        [math.sin(alpha * xi / 2)],
+        [np.sin(alpha * (g + xi) / 2)],
+        [np.sin(alpha * xi / 2)],
         "vanishing sine in v-kernel",
     )
 
@@ -127,16 +150,16 @@ def trig_v(xi, alpha, g):
 def trig_w(xi, alpha, g4):
     ga, gb, gc, gd = g4
     nums = [
-        math.sin(alpha * (ga + xi) / 2),
-        math.cos(alpha * (gb + xi) / 2),
-        math.sin(alpha * (gc + 0.5 + xi) / 2),
-        math.cos(alpha * (gd + 0.5 + xi) / 2),
+        np.sin(alpha * (ga + xi) / 2),
+        np.cos(alpha * (gb + xi) / 2),
+        np.sin(alpha * (gc + 0.5 + xi) / 2),
+        np.cos(alpha * (gd + 0.5 + xi) / 2),
     ]
     dens = [
-        math.sin(alpha * xi / 2),
-        math.cos(alpha * xi / 2),
-        math.sin(alpha * (0.5 + xi) / 2),
-        math.cos(alpha * (0.5 + xi) / 2),
+        np.sin(alpha * xi / 2),
+        np.cos(alpha * xi / 2),
+        np.sin(alpha * (0.5 + xi) / 2),
+        np.cos(alpha * (0.5 + xi) / 2),
     ]
     return _guarded_ratio(nums, dens, "vanishing sine/cosine in w-kernel")
 
@@ -274,30 +297,26 @@ def apply_d(f, p: ParamSet, *, path: str = "auto", analytic: bool = False) -> np
     """
     p.require_truncated()
     mode = _pick_path(p, path)
-    alcove, index = _alcove_index(p.n, p.N)
     f = _grid_function(f, p.n, p.N)
-    out = np.zeros(len(alcove), dtype=np.result_type(f.dtype, np.complex128))
+    out = np.zeros(len(f), dtype=np.result_type(f.dtype, np.complex128))
     const = restriction_constant(p)
-    rho = np.array(p.trig.rho(p.n)) if p.trig is not None else None
-    for i, nu in enumerate(alcove):
-        acc = 0.0
-        z = _grid_point(p, nu) if mode == "rational" else None
-        x = rho + np.array(nu) if mode == "trig" else None
-        for j in range(p.n):
-            for eps in (1, -1):
-                shifted = tuple(v + (eps if k == j else 0) for k, v in enumerate(nu))
-                if not in_alcove(shifted, p.N):
-                    continue
-                if mode == "trig":
-                    w = v_coeff_trig(eps, j, x, p.trig, p.n)
-                    if analytic:
-                        w = w * const
-                else:
-                    w = v_coeff(eps, j, z, p)
-                    if not analytic:
-                        w = w / const
-                acc = acc + w * (f[index[shifted]] - f[i])
-        out[i] = acc
+    weights = np.array(_alcove_index(p.n, p.N)[0]).T
+    if mode == "trig":
+        coords = np.array(p.trig.rho(p.n))[:, None] + weights
+    else:
+        coords = _grid_point(p, weights)
+    for j in range(p.n):
+        for eps in (1, -1):
+            rows, cols = _shift_targets(p.n, p.N, (j,), (eps,))
+            if mode == "trig":
+                w = v_coeff_trig(eps, j, coords[:, rows], p.trig, p.n)
+                if analytic:
+                    w = w * const
+            else:
+                w = v_coeff(eps, j, coords[:, rows], p)
+                if not analytic:
+                    w = w / const
+            out[rows] += w * (f[cols] - f[rows])
     return out
 
 
@@ -323,7 +342,7 @@ def apply_d_racah(f, rp, *, dual: bool = False) -> np.ndarray:
     base = rp.dual() if dual else rp
     f = _grid_function(f, rp.n, rp.N)
     rho = np.array(base.rho)
-    D = _stencil_matrix(1, rp.n, rp.N, lambda nu: _RacahSide(rho + np.array(nu), base.g, base.gs))
+    D = _stencil_matrix(1, rp.n, rp.N, lambda nus: _RacahSide((rho + nus.T).T, base.g, base.gs))
     return D @ f
 
 
@@ -406,20 +425,14 @@ class _RacahSide:
 
 
 def _primal_side(p: ParamSet, nu, mode: str):
+    """Kernel side at one weight nu, or at a component-major batch of them.
+    At the dual parameters it is the dual side, whose coefficients are the
+    Pieri coefficients."""
     if mode == "trig":
         ts = p.trig
-        return _TrigSide(np.array(ts.rho(p.n)) + np.array(nu), ts.alpha, ts.g, ts.g_role)
-    dv = dual_view(p)
-    return _RationalSide(_grid_point(p, nu), p.q, p.t, p.ts, dv.that_a)
-
-
-def _dual_side(p: ParamSet, lam, mode: str):
-    if mode == "trig":
-        ts = p.trig.dual()
-        return _TrigSide(np.array(ts.rho(p.n)) + np.array(lam), ts.alpha, ts.g, ts.g_role)
-    dv = dual_view(p)
-    zhat = np.array(dv.tauhat) * np.asarray(p.q) ** np.array(lam)
-    return _RationalSide(zhat, p.q, p.t, dv.that_role, p.t_a)
+        x = (np.array(ts.rho(p.n)) + np.asarray(nu).T).T
+        return _TrigSide(x, ts.alpha, ts.g, ts.g_role)
+    return _RationalSide(_grid_point(p, nu), p.q, p.t, p.ts, dual_view(p).that_a)
 
 
 def _kernel_product(side, J, epsJ, K, s: int):
@@ -461,31 +474,41 @@ def coeff_u(side, K, order):
     return total * (-1) ** order
 
 
-def _shift_terms(side, r: int, nu, N: int):
-    """Yield (target, coefficient) for every term of the order-2r operator
-    at nu whose shift stays in the alcove, the stationary U term first."""
-    indices = list(range(len(nu)))
-    for size in range(0, r + 1):
-        for J in itertools.combinations(indices, size):
-            comp = [k for k in indices if k not in J]
-            ucoef = coeff_u(side, comp, r - size)
-            for eps in itertools.product((1, -1), repeat=size):
-                target = list(nu)
-                for j, ej in zip(J, eps):
-                    target[j] += ej
-                target = tuple(target)
-                if in_alcove(target, N):
-                    yield target, ucoef * coeff_v(side, J, eps, comp)
+@lru_cache(maxsize=None)
+def _shift_targets(n: int, N: int, J: tuple, eps: tuple):
+    """Positions (rows, cols) of the grid weights whose shift by eps on the
+    indices J stays in the alcove, and of the weights they shift to."""
+    alcove, index = _alcove_index(n, N)
+    rows, cols = [], []
+    for i, nu in enumerate(alcove):
+        target = list(nu)
+        for j, ej in zip(J, eps):
+            target[j] += ej
+        k = index.get(tuple(target))
+        if k is not None:
+            rows.append(i)
+            cols.append(k)
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
 def _stencil_matrix(r: int, n: int, N: int, side_at) -> np.ndarray:
-    """Dense matrix of the order-2r operator over the alcove; side_at(nu)
-    gives the kernel side at each grid weight."""
-    alcove, index = _alcove_index(n, N)
-    out = np.zeros((len(alcove), len(alcove)), dtype=complex)
-    for i, nu in enumerate(alcove):
-        for target, coeff in _shift_terms(side_at(nu), r, nu, N):
-            out[i, index[target]] = coeff
+    """Dense matrix of the order-2r operator over the alcove; side_at(nus)
+    gives the kernel side at a component-major batch of grid weights.
+
+    The stationary coefficient of each index set J is evaluated at every
+    weight, each shift coefficient only at the weights whose shift stays in
+    the alcove."""
+    weights = np.array(_alcove_index(n, N)[0]).T
+    size = weights.shape[1]
+    whole = side_at(weights)
+    out = np.zeros((size, size), dtype=complex)
+    for moved in range(r + 1):
+        for J in itertools.combinations(range(n), moved):
+            comp = [k for k in range(n) if k not in J]
+            ucoef = np.broadcast_to(coeff_u(whole, comp, r - moved), size)
+            for eps in itertools.product((1, -1), repeat=moved):
+                rows, cols = _shift_targets(n, N, J, eps)
+                out[rows, cols] = ucoef[rows] * coeff_v(side_at(weights[:, rows]), J, eps, comp)
     return out
 
 
@@ -496,15 +519,28 @@ def _grid_function(f, n: int, N: int) -> np.ndarray:
     return f
 
 
+#: Bound of the operator-matrix cache: four orders, primal and dual, for
+#: four parameter sets.  Each entry is one dense complex matrix, so the
+#: worst case at 496 grid points is 32 * 496^2 * 16 bytes, about 126 MB.
+OPERATOR_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _operator(r: int, p: ParamSet, mode: str) -> np.ndarray:
+    out = _stencil_matrix(r, p.n, p.N, lambda nus: _primal_side(p, nus, mode))
+    out.setflags(write=False)
+    return out
+
+
 def operator_matrix(r: int, p: ParamSet) -> np.ndarray:
     """Matrix of the commuting discrete operator of order 2r on the grid,
     rows and columns in the graded total order; r = 1 reproduces the
-    second-order operator."""
+    second-order operator.  The matrix is cached per (r, p) and shared, so
+    it is read-only."""
     if not 1 <= r <= p.n:
         raise ValueError("operator order must satisfy 1 <= r <= n")
     p.require_truncated()
-    mode = _pick_path(p, "auto")
-    return _stencil_matrix(r, p.n, p.N, lambda nu: _primal_side(p, nu, mode))
+    return _operator(r, p, _pick_path(p, "auto"))
 
 
 def apply_dr(r: int, f, p: ParamSet) -> np.ndarray:
@@ -593,24 +629,20 @@ def e_multiplier(r: int, nu, p: ParamSet, *, dual: bool = False):
 
 def pieri_residual(r: int, lam, p: ParamSet, renorm, *, path: str = "auto"):
     """Largest pointwise residual (relative to the term scale) of the
-    restricted Pieri expansion of E_r * P_lam over the alcove."""
+    restricted Pieri expansion of E_r * P_lam over the alcove.  The Pieri
+    coefficients are row lam of the operator matrix at the dual
+    parameters."""
     if not 1 <= r <= p.n:
         raise ValueError("operator order must satisfy 1 <= r <= n")
-    lam = tuple(lam)
-    mode = _pick_path(p, path)
-    alcove = renorm.alcove
-    npts = len(alcove)
-    pos = renorm.position
-    side = _dual_side(p, lam, mode)
+    i = renorm.position(tuple(lam))
+    row = _operator(r, dual_view(p).dual_params(), _pick_path(p, path))[i]
+    targets = np.flatnonzero(row)
+    coeffs, values = row[targets], renorm.values[targets]
 
-    evec = np.array([e_multiplier(r, nu, p) for nu in alcove])
-    lhs = evec * renorm.values[pos(lam)]
-    rhs = np.zeros(npts, dtype=complex)
-    scale = np.abs(lhs).copy()
-    for target, coeff in _shift_terms(side, r, lam, p.N):
-        row = renorm.values[pos(target)]
-        rhs = rhs + coeff * row
-        scale = scale + abs(coeff) * np.abs(row)
+    evec = np.array([e_multiplier(r, nu, p) for nu in renorm.alcove])
+    lhs = evec * renorm.values[i]
+    rhs = coeffs @ values
+    scale = np.abs(lhs) + np.abs(coeffs) @ np.abs(values)
     resid = np.abs(lhs - rhs)
     return float(np.max(resid / np.maximum(scale, 1e-300)))
 
@@ -636,10 +668,11 @@ def _extremal_pieri(lam, upper, r: int, p: ParamSet, path: str):
     """The two extremal Pieri coefficients Vhat_(+omega_r)(lam) and
     Vhat_(-omega_r)(lam + omega_r)."""
     mode = _pick_path(p, path)
+    dual = dual_view(p).dual_params()
     J = tuple(range(r))
     K = list(range(r, p.n))
-    v_up = coeff_v(_dual_side(p, lam, mode), J, (1,) * r, K)
-    v_dn = coeff_v(_dual_side(p, upper, mode), J, (-1,) * r, K)
+    v_up = coeff_v(_primal_side(dual, lam, mode), J, (1,) * r, K)
+    v_dn = coeff_v(_primal_side(dual, upper, mode), J, (-1,) * r, K)
     return v_up, v_dn
 
 

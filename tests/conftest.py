@@ -7,6 +7,10 @@ config_sd: self-dual trig (g_a = g_b + g_c + g_d), rest as config_a with
            alpha readjusted to keep the truncation exact
 config_r : racah, n=2, N=3, g = 0.4, g_b solving the additive truncation
 config_rpos: racah, n=2, N=2, all weights (primal and dual) positive
+config_n4: trig, n=4, N=2, exponents as config_a, alpha from the truncation
+config_cx: generic complex, n=3, N=3: config_b's phases with the moduli of
+           q, t, t_a, t_c, t_d pushed off the unit circle and t_b solved
+           from the truncation (no trigonometric source: rational kernels)
 """
 
 import math
@@ -43,6 +47,30 @@ def config_rpos():
     return qr.racah_params(g=0.6, g0=1.0, g1=-3.6, g2=0.85, g3=-2.75, n=2, N=2)
 
 
+@pytest.fixture(scope="session")
+def config_n4():
+    alpha = math.pi / (3 * 0.3 + 0.5 + 0.4 + 2)
+    return qr.from_trig(alpha=alpha, g=0.3, g_a=0.5, g_b=0.4, g_c=0.2, g_d=0.1, n=4, N=2)
+
+
+@pytest.fixture(scope="session")
+def config_cx():
+    n, N = 3, 3
+    g, g_a, g_c, g_d = 0.25, 0.6, 0.3, 0.2
+    alpha = math.pi / ((n - 1) * g + g_a + 0.5 + N)
+
+    def off_circle(phase, s):
+        return complex(np.exp(s + 1j * phase))
+
+    q = off_circle(alpha, 0.05)
+    t = off_circle(alpha * g, -0.04)
+    t_a = off_circle(alpha * g_a, 0.07)
+    t_c = off_circle(alpha * (g_c + 0.5), -0.03)
+    t_d = -off_circle(alpha * (g_d + 0.5), 0.06)
+    t_b = 1 / (t_a * t ** (n - 1) * q**N)
+    return qr.ParamSet(n=n, N=N, q=q, t=t, t0=t_a, t1=t_b, t2=t_c, t3=t_d)
+
+
 def one_var_trig(N=6, g_a=0.45, g_b=0.35, g_c=0.15, g_d=0.05):
     alpha = math.pi / (g_a + g_b + N)
     return qr.from_trig(alpha=alpha, g=0.0, g_a=g_a, g_b=g_b, g_c=g_c, g_d=g_d, n=1, N=N)
@@ -65,6 +93,16 @@ def ctx_b(config_b):
 @pytest.fixture(scope="session")
 def ctx_sd(config_sd):
     return qr.transform_context(config_sd)
+
+
+@pytest.fixture(scope="session")
+def ctx_n4(config_n4):
+    return qr.transform_context(config_n4)
+
+
+@pytest.fixture(scope="session")
+def ctx_cx(config_cx):
+    return qr.transform_context(config_cx)
 
 
 @pytest.fixture(scope="session")

@@ -144,8 +144,8 @@ def test_apply_dr_order_one_matches_second_order(ctx_a, rng):
     assert np.max(np.abs(a - b)) < 1e-11 * max(np.max(np.abs(a)), 1.0)
 
 
-def test_apply_dr_eigen_equations(ctx_a, ctx_b):
-    for ctx in (ctx_a, ctx_b):
+def test_apply_dr_eigen_equations(ctx_a, ctx_b, ctx_n4, ctx_cx):
+    for ctx in (ctx_a, ctx_b, ctx_n4, ctx_cx):
         p, ren = ctx.params, ctx.renorm
         for lam in ren.alcove:
             f = ren.values[ren.position(lam)]
@@ -156,14 +156,43 @@ def test_apply_dr_eigen_equations(ctx_a, ctx_b):
                 assert np.max(np.abs(got - ev * f)) < 1e-8 * scale
 
 
-def test_apply_dr_commute(ctx_b, rng):
-    p = ctx_b.params
-    size = len(ctx_b.table.alcove)
-    f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    for r, s in itertools.combinations(range(1, p.n + 1), 2):
-        a = ops.apply_dr(r, ops.apply_dr(s, f, p), p)
-        b = ops.apply_dr(s, ops.apply_dr(r, f, p), p)
-        assert np.max(np.abs(a - b)) < 1e-10 * max(np.max(np.abs(a)), 1.0)
+def test_apply_dr_commute(ctx_b, ctx_n4, ctx_cx, rng):
+    for ctx in (ctx_b, ctx_n4, ctx_cx):
+        p = ctx.params
+        size = len(ctx.table.alcove)
+        f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        for r, s in itertools.combinations(range(1, p.n + 1), 2):
+            a = ops.apply_dr(r, ops.apply_dr(s, f, p), p)
+            b = ops.apply_dr(s, ops.apply_dr(r, f, p), p)
+            assert np.max(np.abs(a - b)) < 1e-10 * max(np.max(np.abs(a)), 1.0)
+
+
+def test_operator_matrix_is_cached_and_read_only(config_b):
+    """The matrix is shared through a bounded cache, so writes are refused."""
+    D = ops.operator_matrix(2, config_b)
+    assert ops.operator_matrix(2, config_b) is D
+    with pytest.raises(ValueError):
+        D[0, 0] = 0.0
+    assert ops._operator.cache_info().maxsize == ops.OPERATOR_CACHE_SIZE
+
+
+def test_guarded_ratio_batch_matches_scalar():
+    """A batch mixing regular points with a removable 0/0 gives the scalar
+    value at every point, and zero at the removable one."""
+    nums = [np.array([2.0 + 1j, 0.0, 3.0 - 2j]), np.array([1.5, 4.0 + 1j, -1.0j])]
+    dens = [np.array([0.5 - 1j, 0.0, 2.0]), np.array([3.0, 1.0, 0.25 + 1j])]
+    got = ops._guarded_ratio(nums, dens, "test kernel")
+    for i in range(3):
+        expect = ops._guarded_ratio([f[i] for f in nums], [f[i] for f in dens], "test kernel")
+        assert got[i] == pytest.approx(expect, rel=1e-15)
+    assert got[1] == 0.0
+
+
+def test_guarded_ratio_batch_raises_on_pole():
+    nums = [np.array([2.0, 1.0, 3.0]), np.array([1.0, 0.0, 1.0])]
+    dens = [np.array([0.5, 0.0, 2.0]), np.array([1.0, 0.0, 1.0])]
+    with pytest.raises(qr.SingularEvaluationError, match="test kernel"):
+        ops._guarded_ratio(nums, dens, "test kernel")
 
 
 def test_apply_dr_self_adjoint_sesquilinear(ctx_a, rng):
