@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoleError
-from .params import ParamSet, RacahParams, dual_view
+from .params import ParamSet, RacahParams, _pick_path, dual_view
 from .weights import check_dominant, enumerate_alcove, in_alcove
 
 POLE_TOL = 1e-12
@@ -189,18 +189,10 @@ def _c_trig(nu, alpha, g, g4, rho, plus: bool, context: str):
     return fp.value(context)
 
 
-def _pick_path(p: ParamSet, path: str) -> str:
-    if path == "auto":
-        return "trig" if p.trig is not None else "qpoch"
-    if path == "trig" and p.trig is None:
-        raise ValueError("trigonometric path requires a trigonometric source")
-    return path
-
-
 def _c(nu, p: ParamSet, path: str, plus: bool, dual: bool, prefactor: bool, context: str):
     """C_+- (or with dual=True Chat_+-) along the chosen evaluation path."""
     check_dominant(nu)
-    if _pick_path(p, path) == "trig":
+    if _pick_path(p, path, "qpoch") == "trig":
         ts = p.trig.dual() if dual else p.trig
         return _c_trig(nu, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), plus, context)
     dv = dual_view(p)
@@ -261,7 +253,7 @@ def norm_ratio(lam, p: ParamSet, *, path: str = "auto"):
     check_dominant(lam)
     if p.is_truncated and not in_alcove(lam, p.N):
         return 0.0
-    if _pick_path(p, path) == "trig":
+    if _pick_path(p, path, "qpoch") == "trig":
         return chat_minus(lam, p, path="trig") / chat_plus(lam, p, path="trig")
     num = chat_minus(lam, p, path="qpoch", prefactor=False)
     den = chat_plus(lam, p, path="qpoch", prefactor=False)

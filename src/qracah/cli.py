@@ -38,13 +38,10 @@ import numpy as np
 
 from . import operators as ops
 from . import transform as tr
-from .cfunctions import racah_table, weight_table
 from .errors import DegenerateParameterError, PoleError, SingularEvaluationError
-from .params import RacahParams, from_trig, in_positivity_domain, racah_params
+from .params import from_trig, in_positivity_domain, racah_params
 from .polynomials import (
-    build_family,
     build_p_macdonald,
-    build_racah_family,
     dominance_span,
     eigenvalue_aw,
     grid_points,
@@ -52,7 +49,6 @@ from .polynomials import (
     monomial_operator_matrix,
     monomial_values,
     racah_grid_points,
-    renormalize,
     triangularity_violation,
 )
 from .weights import in_alcove
@@ -149,41 +145,15 @@ def write_complex_csv(path: Path, matrix) -> None:
 
 
 class Session:
-    """Lazy holder of the derived objects for one parameter set."""
+    """One parameter set's transform context, with the seed and generator
+    of the sampled checks.  The context builds only the stages a command
+    reads."""
 
     def __init__(self, params, seed: int):
         self.params = params
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self._cache = {}
-
-    @property
-    def is_racah(self) -> bool:
-        return isinstance(self.params, RacahParams)
-
-    def table(self):
-        if "table" not in self._cache:
-            self._cache["table"] = (
-                racah_table(self.params) if self.is_racah else weight_table(self.params)
-            )
-        return self._cache["table"]
-
-    def family(self):
-        if "family" not in self._cache:
-            build = build_racah_family if self.is_racah else build_family
-            self._cache["family"] = build(self.params, table=self.table())
-        return self._cache["family"]
-
-    def renorm(self):
-        if "renorm" not in self._cache:
-            self._cache["renorm"] = renormalize(self.family(), self.table())
-        return self._cache["renorm"]
-
-    def context(self):
-        if "context" not in self._cache:
-            builder = tr.racah_transform_context if self.is_racah else tr.transform_context
-            self._cache["context"] = builder(self.params)
-        return self._cache["context"]
+        self.ctx = tr._context(params)
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +162,25 @@ class Session:
 
 
 def _suite_orthogonality(s: Session):
-    fam = s.family()
-    G = fam.gram_matrix()
+    G = s.ctx.family.gram_matrix()
     diag = np.max(np.abs(np.diag(G)))
     off = G - np.diag(np.diag(G))
     return float(np.max(np.abs(off)) / diag), 1e-9
 
 
 def _suite_norms(s: Session):
-    fam, tab = s.family(), s.table()
+    fam, tab = s.ctx.family, s.ctx.table
     predicted = tab.norm_ratio * tab.one_one
     scale = np.maximum(np.abs(fam.norms), np.abs(predicted))
     return float(np.max(np.abs(fam.norms - predicted) / np.maximum(scale, 1e-300))), 1e-9
 
 
 def _suite_evaluation(s: Session):
-    return float(np.max(np.abs(s.renorm().at_origin - 1))), 1e-10
+    return float(np.max(np.abs(s.ctx.renorm.at_origin - 1))), 1e-10
 
 
 def _suite_duality(s: Session):
-    ctx = s.context()
+    ctx = s.ctx
     scale = max(float(np.max(np.abs(ctx.renorm.values))), 1.0)
     resid = np.max(np.abs(ctx.renorm.values - ctx.dual_renorm.values.T)) / scale
     one_inv = abs(ctx.table.one_one - ctx.dual_table.one_one) / abs(ctx.table.one_one)
@@ -219,17 +188,16 @@ def _suite_duality(s: Session):
 
 
 def _suite_transform(s: Session):
-    ctx = s.context()
+    ctx = s.ctx
     size = len(ctx.alcove)
-    if s.is_racah:
+    K = tr.build_k_matrix(ctx)
+    if ctx.is_racah:
         # A sign-mixed degenerate measure makes the orthogonality sums
         # cancel across terms far larger than the result; normalize by the
         # cancellation-free magnitude so the check measures accuracy, not
         # conditioning.
-        K = tr.build_k_matrix_racah(ctx)
         scale = max(1.0, float(np.linalg.norm(np.abs(K).T @ np.abs(K))))
         return float(np.linalg.norm(K.T @ K - np.eye(size)) / scale), 1e-8
-    K = tr.build_k_matrix(ctx)
     ortho = np.linalg.norm(K.T @ K - np.eye(size))
     km, kh = tr.forward_kernel(ctx), tr.inverse_kernel(ctx)
     round_trip = np.linalg.norm(kh @ km - np.eye(size))
@@ -240,10 +208,9 @@ def _suite_transform(s: Session):
 
 
 def _suite_diagonalization(s: Session):
-    ctx = s.context()
     worst = 0.0
     for r in range(1, s.params.n + 1):
-        rep = tr.diagonalization_report(ctx, r)
+        rep = tr.diagonalization_report(s.ctx, r)
         worst = max(worst, rep.forward_residual, rep.backward_residual)
     return float(worst), 1e-7
 
@@ -258,7 +225,7 @@ def _suite_reslem(s: Session):
 
 
 def _suite_symmetry(s: Session):
-    tab = s.table()
+    tab = s.ctx.table
     size = len(tab.alcove)
     worst = 0.0
     for _ in range(20):
@@ -271,20 +238,20 @@ def _suite_symmetry(s: Session):
 
 
 def _suite_pieri(s: Session):
-    ren = s.renorm()
+    ren = s.ctx.renorm
     worst = 0.0
-    for lam in s.table().alcove:
+    for lam in s.ctx.table.alcove:
         for r in range(1, s.params.n + 1):
             worst = max(worst, ops.pieri_residual(r, lam, s.params, ren))
     return float(worst), 1e-9
 
 
 def _suite_normrec(s: Session):
-    return float(ops.plancherel_flatness(s.renorm(), s.table())), 1e-9
+    return float(ops.plancherel_flatness(s.ctx.renorm, s.ctx.table)), 1e-9
 
 
 def _suite_positivity(s: Session):
-    p, tab = s.params, s.table()
+    p, tab = s.params, s.ctx.table
     if not in_positivity_domain(p):
         return math.inf, 1e-12
     worst = 0.0
@@ -297,8 +264,8 @@ def _suite_positivity(s: Session):
 
 
 def _suite_cross(s: Session):
-    p, fam = s.params, s.family()
-    span = list(s.table().alcove)
+    p, fam = s.params, s.ctx.family
+    span = list(s.ctx.table.alcove)
     A, _ = monomial_operator_matrix(span, p, s.rng)
     diag = np.array([A[i, i] for i in range(len(span))])
     evs = np.array([eigenvalue_aw(mu, p) for mu in span])
@@ -361,7 +328,7 @@ _RACAH_SUITES = {
 
 
 def cmd_weights(s: Session, out: Path, args) -> int:
-    tab = s.table()
+    tab = s.ctx.table
     payload = {
         "one_one": _cplx(tab.one_one),
         "entries": {
@@ -374,14 +341,14 @@ def cmd_weights(s: Session, out: Path, args) -> int:
         },
     }
     write_json(out / "weights.json", payload)
-    grid = racah_grid_points(s.params) if s.is_racah else grid_points(s.params)
+    grid = racah_grid_points(s.params) if s.ctx.is_racah else grid_points(s.params)
     write_complex_csv(out / "grid.csv", grid)
     print(f"wrote {len(tab.alcove)} weight rows to {out}")
     return 0
 
 
 def _selected_weights(s: Session, spec: str | None):
-    alcove = s.table().alcove
+    alcove = s.ctx.table.alcove
     if not spec:
         return list(alcove)
     lam = tuple(int(x) for x in spec.split(","))
@@ -391,7 +358,7 @@ def _selected_weights(s: Session, spec: str | None):
 
 
 def cmd_poly(s: Session, out: Path, args) -> int:
-    fam = s.family()
+    fam = s.ctx.family
     for lam in _selected_weights(s, args.weight):
         poly = fam.poly(lam)
         payload = {_wkey(mu): _cplx(c) for mu, c in sorted(poly.coeffs.items())}
@@ -405,7 +372,7 @@ def cmd_poly(s: Session, out: Path, args) -> int:
 
 
 def cmd_gram(s: Session, out: Path, args) -> int:
-    fam = s.family()
+    fam = s.ctx.family
     G = fam.gram_matrix()
     write_complex_csv(out / "gram.csv", G)
     diag = np.max(np.abs(np.diag(G)))
@@ -416,7 +383,7 @@ def cmd_gram(s: Session, out: Path, args) -> int:
 
 
 def cmd_norms(s: Session, out: Path, args) -> int:
-    fam, tab = s.family(), s.table()
+    fam, tab = s.ctx.family, s.ctx.table
     predicted = tab.norm_ratio * tab.one_one
     payload = {
         _wkey(lam): {
@@ -434,21 +401,23 @@ def cmd_norms(s: Session, out: Path, args) -> int:
     return 0
 
 
+def _write_k_matrix(ctx, out: Path) -> float:
+    """Write K to k_matrix.csv and return its orthogonality residual."""
+    K = tr.build_k_matrix(ctx)
+    write_complex_csv(out / "k_matrix.csv", K)
+    return float(np.linalg.norm(K.T @ K - np.eye(len(ctx.alcove))))
+
+
 def cmd_transform(s: Session, out: Path, args) -> int:
-    ctx = s.context()
+    ctx = s.ctx
     size = len(ctx.alcove)
-    if s.is_racah:
-        K = tr.build_k_matrix_racah(ctx)
-        write_complex_csv(out / "k_matrix.csv", K)
-        resid = float(np.linalg.norm(K.T @ K - np.eye(size)))
+    resid = _write_k_matrix(ctx, out)
+    if ctx.is_racah:
         write_json(out / "transform_report.json", {"orthogonality_residual": resid})
         print(f"orthogonality residual {resid:.3e}")
         return 0
-    K = tr.build_k_matrix(ctx)
-    km, kh = tr.forward_kernel(ctx), tr.inverse_kernel(ctx)
-    write_complex_csv(out / "k_matrix.csv", K)
-    write_complex_csv(out / "kernel.csv", km)
-    write_complex_csv(out / "kernel_inverse.csv", kh)
+    write_complex_csv(out / "kernel.csv", tr.forward_kernel(ctx))
+    write_complex_csv(out / "kernel_inverse.csv", tr.inverse_kernel(ctx))
     if args.input:
         rows = Path(args.input).read_text().strip().splitlines()
         f = np.array([complex(*map(float, row.split(","))) for row in rows])
@@ -463,17 +432,14 @@ def cmd_transform(s: Session, out: Path, args) -> int:
     roundtrip = float(np.max(np.abs(back - f)))
     write_json(
         out / "transform_report.json",
-        {
-            "orthogonality_residual": float(np.linalg.norm(K.T @ K - np.eye(size))),
-            "round_trip_error": roundtrip,
-        },
+        {"orthogonality_residual": resid, "round_trip_error": roundtrip},
     )
     print(f"round-trip error {roundtrip:.3e}")
     return 0
 
 
 def cmd_verify(s: Session, out: Path, args) -> int:
-    registry = _RACAH_SUITES if s.is_racah else _Q_SUITES
+    registry = _RACAH_SUITES if s.ctx.is_racah else _Q_SUITES
     names = args.suite or sorted(registry)
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -514,28 +480,25 @@ def cmd_verify(s: Session, out: Path, args) -> int:
 
 
 def cmd_racah(s: Session, out: Path, args) -> int:
-    if not s.is_racah:
+    if not s.ctx.is_racah:
         raise SystemExit("the racah subcommand needs a kind = racah configuration")
     cmd_weights(s, out, args)
     cmd_gram(s, out, args)
     cmd_norms(s, out, args)
-    ctx = s.context()
-    K = tr.build_k_matrix_racah(ctx)
-    write_complex_csv(out / "k_matrix.csv", K)
-    resid = float(np.linalg.norm(K.T @ K - np.eye(len(ctx.alcove))))
+    resid = _write_k_matrix(s.ctx, out)
     write_json(out / "racah_report.json", {"orthogonality_residual": resid})
     print(f"racah kernel orthogonality residual {resid:.3e}")
     return 0
 
 
 def cmd_limit(s: Session, out: Path, args) -> int:
-    if not s.is_racah:
+    if not s.ctx.is_racah:
         raise SystemExit("the limit subcommand needs a kind = racah configuration")
     epsilons = tuple(args.eps) if args.eps else (1e-1, 5e-2, 2.5e-2)
-    fam = s.family()
+    fam = s.ctx.family
     payload = {}
     all_monotone = True
-    for lam in s.table().alcove:
+    for lam in s.ctx.table.alcove:
         if sum(lam) == 0 or sum(lam) > args.max_degree:
             continue
         rep = limit_check(lam, s.params, epsilons, racah_family=fam)

@@ -33,8 +33,9 @@ side, so it serves both sides and both levels.  The primal matrix at the
 dual parameters has the Pieri coefficients Vhat/Uhat as its rows (E_r
 times a renormalized polynomial expands over neighbouring weights), so
 pieri_residual reads row pos(lam) of that cached matrix, the same cache
-entry as the dual operator of transform.diagonalization_report.  With the q -> 1 kernels at r = 1 the builder
-gives the degenerate second-order operator.  Every coefficient contains an
+entry as the dual operator of transform.diagonalization_report; both read
+multiplier vectors cached per (r, p, dual) by multipliers.  With the q -> 1
+kernels at r = 1 the builder gives the degenerate second-order operator.  Every coefficient contains an
 even number of v-kernels, so the half power of t they formally carry folds
 into an exact integer power; evaluation is fully rational in the base
 parameters and free of branch choices.  apply_d, the difference form on
@@ -57,7 +58,7 @@ import numpy as np
 
 from .cfunctions import c_minus, c_plus, chat_minus, chat_plus, delta
 from .errors import SingularEvaluationError
-from .params import ParamSet, dual_view
+from .params import ParamSet, _pick_path, dual_view
 from .weights import enumerate_alcove, in_alcove, is_dominant
 
 #: Factors smaller than this count as exact zeros when deciding whether a
@@ -280,14 +281,6 @@ def reslem_scan(p: ParamSet):
 # ---------------------------------------------------------------------------
 
 
-def _pick_path(p: ParamSet, path: str) -> str:
-    if path == "auto":
-        return "trig" if p.trig is not None else "rational"
-    if path == "trig" and p.trig is None:
-        raise ValueError("trigonometric path requires a trigonometric source")
-    return path
-
-
 def apply_d(f, p: ParamSet, *, path: str = "auto", analytic: bool = False) -> np.ndarray:
     """Discretized second-order operator acting on a grid function.
 
@@ -296,7 +289,7 @@ def apply_d(f, p: ParamSet, *, path: str = "auto", analytic: bool = False) -> np
     the analytic operator instead of the kernel-form normalization.
     """
     p.require_truncated()
-    mode = _pick_path(p, path)
+    mode = _pick_path(p, path, "rational")
     f = _grid_function(f, p.n, p.N)
     out = np.zeros(len(f), dtype=np.result_type(f.dtype, np.complex128))
     const = restriction_constant(p)
@@ -540,7 +533,7 @@ def operator_matrix(r: int, p: ParamSet) -> np.ndarray:
     if not 1 <= r <= p.n:
         raise ValueError("operator order must satisfy 1 <= r <= n")
     p.require_truncated()
-    return _operator(r, p, _pick_path(p, "auto"))
+    return _operator(r, p, _pick_path(p, "auto", "rational"))
 
 
 def apply_dr(r: int, f, p: ParamSet) -> np.ndarray:
@@ -622,6 +615,15 @@ def e_multiplier(r: int, nu, p: ParamSet, *, dual: bool = False):
     return e_r_generic(r, z, base)
 
 
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def multipliers(r: int, p: ParamSet, *, dual: bool = False) -> np.ndarray:
+    """e_multiplier at every alcove weight, in the graded total order.  The
+    vector is cached per (r, p, dual) and shared, so it is read-only."""
+    out = np.array([e_multiplier(r, nu, p, dual=dual) for nu in _alcove_index(p.n, p.N)[0]])
+    out.setflags(write=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Pieri residuals and the norm recurrence
 # ---------------------------------------------------------------------------
@@ -635,12 +637,11 @@ def pieri_residual(r: int, lam, p: ParamSet, renorm, *, path: str = "auto"):
     if not 1 <= r <= p.n:
         raise ValueError("operator order must satisfy 1 <= r <= n")
     i = renorm.position(tuple(lam))
-    row = _operator(r, dual_view(p).dual_params(), _pick_path(p, path))[i]
+    row = _operator(r, dual_view(p).dual_params(), _pick_path(p, path, "rational"))[i]
     targets = np.flatnonzero(row)
     coeffs, values = row[targets], renorm.values[targets]
 
-    evec = np.array([e_multiplier(r, nu, p) for nu in renorm.alcove])
-    lhs = evec * renorm.values[i]
+    lhs = multipliers(r, p) * renorm.values[i]
     rhs = coeffs @ values
     scale = np.abs(lhs) + np.abs(coeffs) @ np.abs(values)
     resid = np.abs(lhs - rhs)
@@ -667,7 +668,7 @@ def _raised(lam, r: int, N: int):
 def _extremal_pieri(lam, upper, r: int, p: ParamSet, path: str):
     """The two extremal Pieri coefficients Vhat_(+omega_r)(lam) and
     Vhat_(-omega_r)(lam + omega_r)."""
-    mode = _pick_path(p, path)
+    mode = _pick_path(p, path, "rational")
     dual = dual_view(p).dual_params()
     J = tuple(range(r))
     K = list(range(r, p.n))

@@ -176,6 +176,18 @@ class ParamSet:
             )
 
 
+def _pick_path(p: ParamSet, path: str, generic: str) -> str:
+    """The route path names for p: "trig", the caller's generic route, or
+    "auto" (trig whenever p has a trigonometric source).  Others raise."""
+    if path == "auto":
+        return "trig" if p.trig is not None else generic
+    if path not in ("trig", generic):
+        raise ValueError(f"unknown path {path!r}: expected 'auto', 'trig' or {generic!r}")
+    if path == "trig" and p.trig is None:
+        raise ValueError("trigonometric path requires a trigonometric source")
+    return path
+
+
 def from_trig(
     alpha: float,
     g: float,

@@ -21,17 +21,29 @@ sesquilinear inner products and simultaneously diagonalizes the commuting
 discrete operators; the diagonal multipliers are the dual eigenvalue
 multipliers.  The q -> 1 case carries the same structure on the shifted
 lattice grid.
+
+One TransformContext per parameter set holds its build graph, and the
+parameter type picks the level: a ParamSet builds with weight_table and
+build_family, RacahParams (q -> 1) with racah_table and build_racah_family.
+Each stage is built on first read, then kept: table, family, renorm;
+dual_params and the dual side (dual_table, dual_family, dual_renorm, read
+from a plain context of the dual parameters that its primal holds); the
+forward and inverse kernels, read-only.  So forward builds no dual family.
+_context keeps the last CONTEXT_CACHE_SIZE contexts, one per parameter set,
+in an LRU cache; transform_context reads it and returns with both families
+built.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .cfunctions import WeightTable, racah_table, weight_table
-from .operators import e_multiplier, operator_matrix
+from .operators import multipliers, operator_matrix
 from .params import ParamSet, RacahParams, dual_view, in_positivity_domain
 from .polynomials import (
     OrthogonalFamily,
@@ -42,46 +54,82 @@ from .polynomials import (
     renormalize,
 )
 
+#: Bound of the context cache.  One context holds about 8.5 MB at 231 grid
+#: points, kernels included, and grows with the square of the size: the
+#: worst case at 496 points is 16 * 40 MB, about 640 MB.
+CONTEXT_CACHE_SIZE = 16
 
-@dataclass
+
 class TransformContext:
-    """Everything the transform needs for one parameter set (a ParamSet, or
-    RacahParams at the q -> 1 level): the primal and dual weight tables and
-    renormalized families, built once."""
+    """The build graph of one parameter set (a ParamSet, or RacahParams at
+    the q -> 1 level); each stage is built on first read."""
 
-    params: ParamSet | RacahParams
-    table: WeightTable
-    family: OrthogonalFamily
-    renorm: RenormalizedFamily
-    dual_params: ParamSet | RacahParams
-    dual_table: WeightTable
-    dual_family: OrthogonalFamily
-    dual_renorm: RenormalizedFamily
+    def __init__(self, params: ParamSet | RacahParams):
+        self.params = params
+        self.is_racah = isinstance(params, RacahParams)
+
+    @cached_property
+    def table(self) -> WeightTable:
+        return racah_table(self.params) if self.is_racah else weight_table(self.params)
+
+    @cached_property
+    def family(self) -> OrthogonalFamily:
+        build = build_racah_family if self.is_racah else build_family
+        return build(self.params, table=self.table)
+
+    @cached_property
+    def renorm(self) -> RenormalizedFamily:
+        return renormalize(self.family, self.table)
 
     @property
     def alcove(self):
         return self.table.alcove
 
+    @cached_property
+    def dual_params(self) -> ParamSet | RacahParams:
+        return self.params.dual() if self.is_racah else dual_view(self.params).dual_params()
 
-_CONTEXT_CACHE: dict = {}
+    @cached_property
+    def dual(self) -> TransformContext:
+        # Held here and not cached: one parameter set is one cache entry.
+        return TransformContext(self.dual_params)
+
+    @property
+    def dual_table(self) -> WeightTable:
+        return self.dual.table
+
+    @property
+    def dual_family(self) -> OrthogonalFamily:
+        return self.dual.family
+
+    @property
+    def dual_renorm(self) -> RenormalizedFamily:
+        return self.dual.renorm
+
+    def _kernel(self, side: TransformContext) -> np.ndarray:
+        # The primal sqrt(<1, 1>) for both: the dual sum differs by rounding.
+        root = np.sqrt(complex(self.table.one_one))
+        out = side.renorm.values.astype(complex) * side.table.delta.astype(complex)[None, :] / root
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def forward_kernel(self) -> np.ndarray:
+        return self._kernel(self)
+
+    @cached_property
+    def inverse_kernel(self) -> np.ndarray:
+        return self._kernel(self.dual)
 
 
-def _context(p, dual_of, table_of, family_of) -> TransformContext:
-    """The cached context of p; a miss builds table_of and family_of on p
-    and on its dual parameters dual_of(p)."""
-    ctx = _CONTEXT_CACHE.get(p)
-    if ctx is None:
-        fields = []
-        for side in (p, dual_of(p)):
-            table = table_of(side)
-            family = family_of(side, table=table)
-            fields += [side, table, family, renormalize(family, table)]
-        ctx = _CONTEXT_CACHE[p] = TransformContext(*fields)
+_context = lru_cache(maxsize=CONTEXT_CACHE_SIZE)(TransformContext)
+
+
+def transform_context(p: ParamSet | RacahParams) -> TransformContext:
+    """The cached context of p, returned with both families built."""
+    ctx = _context(p)
+    ctx.renorm, ctx.dual_renorm  # reading a stage builds it
     return ctx
-
-
-def transform_context(p: ParamSet) -> TransformContext:
-    return _context(p, lambda side: dual_view(side).dual_params(), weight_table, build_family)
 
 
 def _warn_if_branch_dependent(delta: np.ndarray) -> None:
@@ -93,38 +141,36 @@ def _warn_if_branch_dependent(delta: np.ndarray) -> None:
         )
 
 
-def _k_matrix(ctx: TransformContext) -> np.ndarray:
-    table = ctx.table
+def build_k_matrix(ctx: TransformContext) -> np.ndarray:
+    """The orthogonal matrix K; square roots are principal (they are roots
+    of positive reals throughout the positivity domain).  At the q -> 1
+    level both weight tables are checked."""
+    p, table = ctx.params, ctx.table
+    if ctx.is_racah or p.trig is None or not in_positivity_domain(p):
+        _warn_if_branch_dependent(table.delta.astype(complex))
+    if ctx.is_racah:
+        _warn_if_branch_dependent(table.delta_hat.astype(complex))
     sd = np.sqrt(table.delta.astype(complex))
     sdh = np.sqrt(table.delta_hat.astype(complex))
     root = np.sqrt(complex(table.one_one))
     return ctx.renorm.values.astype(complex) * sdh[:, None] * sd[None, :] / root
 
 
-def build_k_matrix(ctx: TransformContext) -> np.ndarray:
-    """The orthogonal matrix K; square roots are principal (they are roots
-    of positive reals throughout the positivity domain)."""
-    p = ctx.params
-    if p.trig is None or not in_positivity_domain(p):
-        _warn_if_branch_dependent(ctx.table.delta.astype(complex))
-    return _k_matrix(ctx)
+# The q -> 1 names: the parameter type already picks the level.
+racah_transform_context = transform_context
+build_k_matrix_racah = build_k_matrix
 
 
 def forward_kernel(ctx: TransformContext) -> np.ndarray:
     """Kernel of the transform: rows dual-grid degrees, columns grid points."""
-    table = ctx.table
-    root = np.sqrt(complex(table.one_one))
-    return ctx.renorm.values.astype(complex) * table.delta.astype(complex)[None, :] / root
+    return ctx.forward_kernel
 
 
 def inverse_kernel(ctx: TransformContext) -> np.ndarray:
     """Kernel of the inverse transform, from the dual family's own formula:
     rows grid points (indexed by the dual degree through duality), columns
     dual-grid points."""
-    table = ctx.table
-    root = np.sqrt(complex(table.one_one))
-    dvals = ctx.dual_renorm.values.astype(complex)
-    return dvals * ctx.dual_table.delta.astype(complex)[None, :] / root
+    return ctx.inverse_kernel
 
 
 def forward(ctx: TransformContext, f) -> np.ndarray:
@@ -154,12 +200,11 @@ class DiagonalizationReport:
 def diagonalization_report(ctx: TransformContext, r: int) -> DiagonalizationReport:
     """Frobenius-norm residuals of conjugating the order-2r operator into
     the dual multiplier (and the dual operator into the primal multiplier)."""
-    K = forward_kernel(ctx)
-    Kinv = inverse_kernel(ctx)
+    K, Kinv = forward_kernel(ctx), inverse_kernel(ctx)
     D = operator_matrix(r, ctx.params)
     Dhat = operator_matrix(r, ctx.dual_params)
-    ehat = np.array([e_multiplier(r, lam, ctx.params, dual=True) for lam in ctx.alcove])
-    e = np.array([e_multiplier(r, nu, ctx.params) for nu in ctx.alcove])
+    ehat = multipliers(r, ctx.params, dual=True)
+    e = multipliers(r, ctx.params)
     fwd = K @ D @ Kinv - np.diag(ehat.astype(complex))
     bwd = Kinv @ Dhat @ K - np.diag(e.astype(complex))
     scale = max(np.max(np.abs(ehat)), np.max(np.abs(e)), 1e-300)
@@ -169,17 +214,3 @@ def diagonalization_report(ctx: TransformContext, r: int) -> DiagonalizationRepo
         backward_residual=float(np.linalg.norm(bwd) / scale),
     )
 
-
-# ---------------------------------------------------------------------------
-# q -> 1 case
-# ---------------------------------------------------------------------------
-
-
-def racah_transform_context(rp: RacahParams) -> TransformContext:
-    return _context(rp, RacahParams.dual, racah_table, build_racah_family)
-
-
-def build_k_matrix_racah(ctx: TransformContext) -> np.ndarray:
-    _warn_if_branch_dependent(ctx.table.delta.astype(complex))
-    _warn_if_branch_dependent(ctx.table.delta_hat.astype(complex))
-    return _k_matrix(ctx)

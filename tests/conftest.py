@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 import qracah as qr
+from qracah import polynomials
+from qracah import transform as tr
 
 
 @pytest.fixture(scope="session")
@@ -113,3 +115,19 @@ def ctx_r(config_r):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def family_builds(monkeypatch):
+    """Parameter sets passed to the family engine, on an empty context
+    cache."""
+    tr._context.cache_clear()
+    calls = []
+    engine = polynomials._family
+
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return engine(params, *args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "_family", counting)
+    return calls

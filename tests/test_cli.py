@@ -214,3 +214,26 @@ def test_verify_survives_raising_suite(trig_config, tmp_path, monkeypatch):
     assert failed["max_residual"] == math.inf
     assert failed["error"] == "DegenerateParameterError"
     assert all(entry["pass"] and "error" not in entry for entry in by_suite.values())
+
+
+@pytest.mark.parametrize(
+    "command, kind, builds",
+    [
+        ("verify", "trig", 2),
+        ("transform", "trig", 2),
+        ("gram", "trig", 1),
+        ("poly", "trig", 1),
+        ("norms", "trig", 1),
+        ("weights", "trig", 0),
+        ("racah", "racah", 1),
+    ],
+)
+def test_commands_build_each_family_once(
+    command, kind, builds, trig_config, racah_config, tmp_path, family_builds
+):
+    """The CLI builds only the stages a command reads, each once: the dual
+    family only for the duality-based commands."""
+    config = trig_config if kind == "trig" else racah_config
+    cli.main([command, "--config", config, "--out", str(tmp_path / "out")])
+    assert len(family_builds) == builds
+    assert len(set(family_builds)) == builds

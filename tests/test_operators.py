@@ -176,6 +176,22 @@ def test_operator_matrix_is_cached_and_read_only(config_b):
     assert ops._operator.cache_info().maxsize == ops.OPERATOR_CACHE_SIZE
 
 
+def test_multipliers_match_scalar_loop_and_are_cached(config_b, config_cx):
+    """The multiplier vector is the scalar e_multiplier at every alcove
+    weight, bit for bit, shared through a bounded cache and read-only."""
+    for p in (config_b, config_cx):
+        alcove = qr.enumerate_alcove(p.n, p.N)
+        for r in range(1, p.n + 1):
+            for dual in (False, True):
+                vec = ops.multipliers(r, p, dual=dual)
+                loop = np.array([ops.e_multiplier(r, nu, p, dual=dual) for nu in alcove])
+                assert np.array_equal(vec, loop)
+                assert ops.multipliers(r, p, dual=dual) is vec
+                with pytest.raises(ValueError):
+                    vec[0] = 0.0
+    assert ops.multipliers.cache_info().maxsize == ops.OPERATOR_CACHE_SIZE
+
+
 def test_guarded_ratio_batch_matches_scalar():
     """A batch mixing regular points with a removable 0/0 gives the scalar
     value at every point, and zero at the removable one."""

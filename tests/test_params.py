@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qracah as qr
+from qracah import operators as ops
 from conftest import one_var_racah
 
 
@@ -138,3 +139,15 @@ def test_lift_racah_truncation(config_r):
     p = qr.lift_racah(config_r, 0.05)
     assert p.truncation_residual < 1e-13
     assert abs(p.q - math.exp(-0.05)) < 1e-15
+
+
+def test_unknown_path_names_raise(config_a):
+    """Each module accepts only "auto", "trig" and its own generic route:
+    "qpoch" for the c-functions, "rational" for the operators."""
+    f = np.ones(qr.alcove_size(config_a.n, config_a.N))
+    for path in ("bogus", "qpoch"):
+        with pytest.raises(ValueError, match="unknown path"):
+            ops.apply_d(f, config_a, path=path)
+    for path in ("bogus", "rational"):
+        with pytest.raises(ValueError, match="unknown path"):
+            qr.c_plus((0, 0), config_a, path=path)

@@ -148,6 +148,30 @@ def test_context_arrays_are_read_only(ctx_a):
     with pytest.raises(ValueError):
         ctx.renorm.values[0, 0] = 0.0
     arrays = (ctx.family.values, ctx.family.norms, ctx.renorm.norms, ctx.renorm.at_origin)
-    for arr in arrays + (ctx.dual_renorm.values,):
+    kernels = (tr.forward_kernel(ctx), tr.inverse_kernel(ctx))
+    for arr in arrays + (ctx.dual_renorm.values,) + kernels:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_context_cache_is_bounded_and_shared(config_a, family_builds):
+    """One bounded cache holds the contexts; transform_context returns the
+    cached one with both families built, and the transform then builds
+    nothing more."""
+    assert tr._context.cache_info().maxsize == tr.CONTEXT_CACHE_SIZE
+    ctx = tr.transform_context(config_a)
+    assert tr.transform_context(config_a) is ctx
+    assert tr._context(config_a) is ctx
+    assert family_builds == [config_a, ctx.dual_params]
+    f = np.ones(len(ctx.alcove))
+    tr.inverse(ctx, tr.forward(ctx, f))
+    assert tr.forward_kernel(ctx) is tr.forward_kernel(ctx)
+    assert len(family_builds) == 2
+
+
+def test_forward_builds_no_dual_family(config_a, family_builds):
+    ctx = tr._context(config_a)
+    fhat = tr.forward(ctx, np.ones(len(ctx.alcove)))
+    assert family_builds == [config_a]
+    tr.inverse(ctx, fhat)
+    assert family_builds == [config_a, ctx.dual_params]
