@@ -77,6 +77,7 @@ from .polynomials import (
     monomial_grid_matrix,
     monomial_operator_matrix,
     monomial_point,
+    monomial_table,
     monomial_values,
     racah_grid_points,
     renormalize,

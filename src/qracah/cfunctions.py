@@ -10,6 +10,16 @@ weight Deltahat, and their ratio Chat_-/Chat_+ is the norm ratio that turns
 the squared norm of the unit polynomial into the squared norm of any member
 of the family.
 
+Every product runs through one prefix-product engine (_prefix_product).  A
+c-function is a product of factor groups; each group has a base fixed by
+the pair (j, k) or the index j, and a count that is a linear function of the
+weight (nu_j + nu_k, nu_j - nu_k, nu_j or 2 nu_j).  The engine forms each
+group's factor sequence once, up to its largest count over the weights
+asked for, takes its prefix products and the running minimum of the
+denominator factors' moduli, and gathers both at every weight's count.  A
+whole table is one call; a scalar c-function is a one-row call.  The dtype
+follows the parameters, so extended precision stays clongdouble.
+
 Two evaluation paths are provided.  For parameters with a trigonometric
 source the sin/cos product rewriting is used: it is manifestly real, better
 conditioned on the unit circle, and equals the q-shifted-factorial route
@@ -26,200 +36,151 @@ symbols on the shifted grid rho + nu; there is no prefactor in that case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import PoleError
-from .params import ParamSet, RacahParams, _pick_path, dual_view
+from .params import PARAM_CACHE_SIZE, ParamSet, RacahParams, _pick_path, dual_view
 from .weights import check_dominant, enumerate_alcove, in_alcove
 
 POLE_TOL = 1e-12
 
 
-class _Product:
-    """Numerator/denominator accumulator that watches for vanishing
-    denominator factors."""
+def _prefix_product(weights, num, den, sequence, label: str):
+    """The c-function product at every weight nu of weights.
 
-    __slots__ = ("num", "den", "min_den")
-
-    def __init__(self):
-        self.num = 1.0
-        self.den = 1.0
-        self.min_den = math.inf
-
-    def qnum(self, a, q, m):
-        apow = a
-        for _ in range(m):
-            self.num = self.num * (1 - apow)
-            apow = apow * q
-
-    def qden(self, a, q, m):
-        apow = a
-        for _ in range(m):
-            f = 1 - apow
-            af = abs(f)
-            if af < self.min_den:
-                self.min_den = af
-            self.den = self.den * f
-            apow = apow * q
-
-    def pnum(self, a, m):
-        for k in range(m):
-            self.num = self.num * (a + k)
-
-    def pden(self, a, m):
-        for k in range(m):
-            f = a + k
-            af = abs(f)
-            if af < self.min_den:
-                self.min_den = af
-            self.den = self.den * f
-
-    def fnum(self, f):
-        self.num = self.num * f
-
-    def fden(self, f):
-        af = abs(f)
-        if af < self.min_den:
-            self.min_den = af
-        self.den = self.den * f
-
-    def value(self, context: str):
-        if self.min_den < POLE_TOL:
-            raise PoleError(f"vanishing denominator factor in {context}")
-        return self.num / self.den
+    A group (base, j, k, s) of num (den) multiplies (divides) by the factors
+    f(base, i), i < nu_j + s nu_k, where sequence(bases, M) returns f(base, i)
+    of every group for i < M.  Each group's prefix products and the running
+    minimum of its |factors| are formed once, up to the largest count, and
+    gathered at every weight.  A denominator factor below POLE_TOL raises
+    PoleError at the first such weight, named label + weight.
+    """
+    for nu in weights:
+        check_dominant(nu)
+    bases, j, k, s = (np.array(col) for col in zip(*num, *den))
+    parts = np.array(weights).T
+    counts = parts[j] + s[:, None] * parts[k]
+    f = sequence(bases, int(counts.max(initial=0)))
+    prefix = np.ones((len(f), f.shape[1] + 1), f.dtype)
+    np.cumprod(f, axis=1, out=prefix[:, 1:])
+    size = np.abs(f)
+    low = np.full(prefix.shape, np.inf, size.dtype)
+    np.minimum.accumulate(size, axis=1, out=low[:, 1:])
+    rows, nn = np.arange(len(f))[:, None], len(num)
+    vals = prefix[rows, counts]
+    bad = np.flatnonzero(low[rows[nn:], counts[nn:]].min(axis=0) < POLE_TOL)
+    if bad.size:
+        raise PoleError(f"vanishing denominator factor in {label}{weights[bad[0]]}")
+    return vals[:nn].prod(axis=0) / vals[nn:].prod(axis=0)
 
 
-def _c_q(nu, q, t, tau, four, c0base, plus: bool, prefactor: bool, context: str):
-    """Shared product for C_+- and their duals at the basic level.
+def _c_q(weights, q, t, tau, four, c0base, plus: bool, prefactor: bool, label: str):
+    """Shared product for C_+- and their duals at the basic level: factors
+    1 - base q^i.
 
     tau is the grid offset of the side being evaluated, four the four
     parameter scalars of that side, and c0base the offset of the opposite
     side (whose powers form the prefactor).
     """
-    n = len(nu)
-    fp = _Product()
-    for j in range(n):
-        for k in range(j + 1, n):
-            mp, mm = nu[j] + nu[k], nu[j] - nu[k]
+    num, den = [], []  # groups (base, j, k, s): counts nu_j + s nu_k
+    for j in range(len(tau)):
+        for k in range(j + 1, len(tau)):
+            tj, tk = tau[j], tau[k]
             if plus:
-                fp.qnum(tau[j] * tau[k], q, mp)
-                fp.qden(t * tau[j] * tau[k], q, mp)
-                fp.qnum(tau[j] / tau[k], q, mm)
-                fp.qden(t * tau[j] / tau[k], q, mm)
+                num += [(tj * tk, j, k, 1), (tj / tk, j, k, -1)]
+                den += [(t * tj * tk, j, k, 1), (t * tj / tk, j, k, -1)]
             else:
-                fp.qnum(q * tau[j] * tau[k] / t, q, mp)
-                fp.qden(q * tau[j] * tau[k], q, mp)
-                fp.qnum(q * tau[j] / (t * tau[k]), q, mm)
-                fp.qden(q * tau[j] / tau[k], q, mm)
-    for j in range(n):
+                num += [(q * tj * tk / t, j, k, 1), (q * tj / (t * tk), j, k, -1)]
+                den += [(q * tj * tk, j, k, 1), (q * tj / tk, j, k, -1)]
+    for j, tj in enumerate(tau):
         if plus:
-            fp.qnum(tau[j] ** 2, q, 2 * nu[j])
-            for s in four:
-                fp.qden(s * tau[j], q, nu[j])
+            num += [(tj ** 2, j, j, 1)]
+            den += [(s * tj, j, j, 0) for s in four]
         else:
-            for s in four:
-                fp.qnum(q * tau[j] / s, q, nu[j])
-            fp.qden(q * tau[j] ** 2, q, 2 * nu[j])
-    val = fp.value(context)
+            num += [(q * tj / s, j, j, 0) for s in four]
+            den += [(q * tj ** 2, j, j, 1)]
+
+    def sequence(bases, M):
+        # the powers base q^i by repeated multiplication
+        steps = np.full((len(bases), M + 1), q, dtype=np.result_type(bases, q))
+        steps[:, 0] = bases
+        return 1 - np.cumprod(steps, axis=1)[:, :M]
+
+    val = _prefix_product(weights, num, den, sequence, label)
     if prefactor:
-        for j in range(n):
-            val = val * c0base[j] ** nu[j]
+        val = val * np.prod(np.asarray(c0base) ** np.array(weights), axis=1)
     return val
 
 
-def _c_trig(nu, alpha, g, g4, rho, plus: bool, context: str):
-    """Trigonometric route: sin/cos Pochhammer products on the log grid."""
+def _shift_pairs(rho, g, plus: bool):
+    """The pair groups (shift, j, k, s) of the additive routes (trigonometric
+    and q -> 1), as (numerator, denominator) lists."""
+    num, den = [], []
+    for j in range(len(rho)):
+        for k in range(j + 1, len(rho)):
+            for a, s in ((rho[j] + rho[k], 1), (rho[j] - rho[k], -1)):
+                num.append((a if plus else 1 - g + a, j, k, s))
+                den.append((g + a if plus else 1 + a, j, k, s))
+    return num, den
+
+
+def _c_trig(weights, alpha, g, g4, rho, plus: bool, label: str):
+    """Trigonometric route: factors sin(alpha (a + i) / 2) on the log grid,
+    or cos(...); the base of a group is (a, 1 for cos)."""
     ga, gb, gc, gd = g4
-    n = len(nu)
-    fp = _Product()
-
-    def sin_num(a, m):
-        for k in range(m):
-            fp.fnum(math.sin(alpha * (a + k) / 2))
-
-    def sin_den(a, m):
-        for k in range(m):
-            fp.fden(math.sin(alpha * (a + k) / 2))
-
-    def cos_num(a, m):
-        for k in range(m):
-            fp.fnum(math.cos(alpha * (a + k) / 2))
-
-    def cos_den(a, m):
-        for k in range(m):
-            fp.fden(math.cos(alpha * (a + k) / 2))
-
-    for j in range(n):
-        for k in range(j + 1, n):
-            mp, mm = nu[j] + nu[k], nu[j] - nu[k]
-            if plus:
-                sin_num(rho[j] + rho[k], mp)
-                sin_den(g + rho[j] + rho[k], mp)
-                sin_num(rho[j] - rho[k], mm)
-                sin_den(g + rho[j] - rho[k], mm)
-            else:
-                sin_num(1 - g + rho[j] + rho[k], mp)
-                sin_den(1 + rho[j] + rho[k], mp)
-                sin_num(1 - g + rho[j] - rho[k], mm)
-                sin_den(1 + rho[j] - rho[k], mm)
-    for j in range(n):
-        m = nu[j]
+    num, den = ([((a, 0), j, k, s) for a, j, k, s in grp] for grp in _shift_pairs(rho, g, plus))
+    for j, r in enumerate(rho):  # single-index groups, count nu_j
         if plus:
-            sin_num(rho[j], m)
-            sin_num(0.5 + rho[j], m)
-            cos_num(rho[j], m)
-            cos_num(0.5 + rho[j], m)
-            sin_den(ga + rho[j], m)
-            sin_den(gc + 0.5 + rho[j], m)
-            cos_den(gb + rho[j], m)
-            cos_den(gd + 0.5 + rho[j], m)
+            top = [(r, 0), (0.5 + r, 0), (r, 1), (0.5 + r, 1)]
+            bottom = [(ga + r, 0), (gc + 0.5 + r, 0), (gb + r, 1), (gd + 0.5 + r, 1)]
         else:
-            sin_num(1 - ga + rho[j], m)
-            sin_num(0.5 - gc + rho[j], m)
-            cos_num(1 - gb + rho[j], m)
-            cos_num(0.5 - gd + rho[j], m)
-            sin_den(1 + rho[j], m)
-            sin_den(0.5 + rho[j], m)
-            cos_den(1 + rho[j], m)
-            cos_den(0.5 + rho[j], m)
-    return fp.value(context)
+            top = [(1 - ga + r, 0), (0.5 - gc + r, 0), (1 - gb + r, 1), (0.5 - gd + r, 1)]
+            bottom = [(1 + r, 0), (0.5 + r, 0), (1 + r, 1), (0.5 + r, 1)]
+        num += [(b, j, j, 0) for b in top]
+        den += [(b, j, j, 0) for b in bottom]
+
+    def sequence(bases, M):
+        x = alpha * (bases[:, :1] + np.arange(M)) / 2
+        return np.where(bases[:, 1:] == 1, np.cos(x), np.sin(x))
+
+    return _prefix_product(weights, num, den, sequence, label)
 
 
-def _c(nu, p: ParamSet, path: str, plus: bool, dual: bool, prefactor: bool, context: str):
-    """C_+- (or with dual=True Chat_+-) along the chosen evaluation path."""
-    check_dominant(nu)
+def _c(weights, p: ParamSet, path: str, plus: bool, dual: bool, prefactor: bool):
+    """C_+- (or with dual=True Chat_+-) at every weight, along the chosen
+    evaluation path."""
+    label = ("Chat" if dual else "C") + ("+" if plus else "-")
     if _pick_path(p, path, "qpoch") == "trig":
         ts = p.trig.dual() if dual else p.trig
-        return _c_trig(nu, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), plus, context)
+        return _c_trig(weights, ts.alpha, ts.g, ts.g_role, ts.rho(p.n), plus, label)
     dv = dual_view(p)
     if dual:
-        return _c_q(nu, p.q, p.t, dv.tauhat, dv.that_slots, p.tau, plus, prefactor, context)
-    return _c_q(nu, p.q, p.t, p.tau, p.ts, dv.tauhat, plus, prefactor, context)
+        return _c_q(weights, p.q, p.t, dv.tauhat, dv.that_slots, p.tau, plus, prefactor, label)
+    return _c_q(weights, p.q, p.t, p.tau, p.ts, dv.tauhat, plus, prefactor, label)
 
 
 def c_plus(nu, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
     """C_+(nu); poles at non-generic parameters surface as PoleError."""
-    return _c(nu, p, path, True, False, prefactor, f"C+{nu}")
+    return _c([nu], p, path, True, False, prefactor)[0]
 
 
 def c_minus(nu, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
     """C_-(nu), same prefactor as C_+."""
-    return _c(nu, p, path, False, False, prefactor, f"C-{nu}")
+    return _c([nu], p, path, False, False, prefactor)[0]
 
 
 def chat_plus(lam, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
     """Dual c-function Chat_+(lam).  Fully rational in the base parameters:
     the dual scalars enter only through pairwise products and the prefactor
     is prod_j tau_j^(lam_j)."""
-    return _c(lam, p, path, True, True, prefactor, f"Chat+{lam}")
+    return _c([lam], p, path, True, True, prefactor)[0]
 
 
 def chat_minus(lam, p: ParamSet, *, path: str = "auto", prefactor: bool = True):
-    return _c(lam, p, path, False, True, prefactor, f"Chat-{lam}")
+    return _c([lam], p, path, False, True, prefactor)[0]
 
 
 def delta(nu, p: ParamSet, *, path: str = "auto"):
@@ -289,10 +250,8 @@ def _freeze(values, dtype):
 
 
 def _table(params, alcove, cp, cm, chp, chm, dtype) -> WeightTable:
-    """Assemble a table from its c-function lists over the alcove."""
-    dl = [1.0 / (a * b) for a, b in zip(cp, cm)]
-    dh = [1.0 / (a * b) for a, b in zip(chp, chm)]
-    nr = [b / a for a, b in zip(chp, chm)]
+    """Assemble a table from its c-function arrays over the alcove."""
+    dl = 1.0 / (cp * cm)
     return WeightTable(
         params=params,
         alcove=alcove,
@@ -301,26 +260,26 @@ def _table(params, alcove, cp, cm, chp, chm, dtype) -> WeightTable:
         delta=_freeze(dl, dtype),
         chat_plus=_freeze(chp, dtype),
         chat_minus=_freeze(chm, dtype),
-        delta_hat=_freeze(dh, dtype),
-        norm_ratio=_freeze(nr, dtype),
-        one_one=sum(dl),
+        delta_hat=_freeze(1.0 / (chp * chm), dtype),
+        norm_ratio=_freeze(chm / chp, dtype),
+        one_one=dl.sum(),
         index={lam: i for i, lam in enumerate(alcove)},
     )
 
 
-@lru_cache(maxsize=None)
+#: (plus, dual) for C_+, C_-, Chat_+, Chat_-: the order tables are built in.
+_SIDES = ((True, False), (False, False), (True, True), (False, True))
+
+
+@lru_cache(maxsize=PARAM_CACHE_SIZE)
 def weight_table(p: ParamSet) -> WeightTable:
     """Compute (once per parameter set) every table entry over the alcove."""
     p.require_truncated()
     alcove = tuple(enumerate_alcove(p.n, p.N))
     dtype = np.result_type(np.asarray(p.q).dtype, np.complex128)
-    # Extended precision lives on the scalar product route.
+    # Extended precision lives on the q-Pochhammer route.
     path = "auto" if dtype == np.complex128 else "qpoch"
-    cp = [c_plus(nu, p, path=path) for nu in alcove]
-    cm = [c_minus(nu, p, path=path) for nu in alcove]
-    chp = [chat_plus(lam, p, path=path) for lam in alcove]
-    chm = [chat_minus(lam, p, path=path) for lam in alcove]
-    return _table(p, alcove, cp, cm, chp, chm, dtype)
+    return _table(p, alcove, *(_c(alcove, p, path, *side, True) for side in _SIDES), dtype)
 
 
 def one_one(p: ParamSet):
@@ -334,45 +293,28 @@ def one_one(p: ParamSet):
 # ---------------------------------------------------------------------------
 
 
-def _c_r(nu, rp: RacahParams, dual: bool, plus: bool, context: str):
-    check_dominant(nu)
-    g = rp.g
-    ga, gb, gc, gd = rp.ghat() if dual else rp.g_role
+def _c_r(weights, rp: RacahParams, dual: bool, plus: bool):
+    """Ordinary Pochhammer products: factors base + i."""
+    g4 = rp.ghat() if dual else rp.g_role
     rho = rp.rho_hat if dual else rp.rho
-    n = len(nu)
-    fp = _Product()
-    for j in range(n):
-        for k in range(j + 1, n):
-            mp, mm = nu[j] + nu[k], nu[j] - nu[k]
-            if plus:
-                fp.pnum(rho[j] + rho[k], mp)
-                fp.pden(g + rho[j] + rho[k], mp)
-                fp.pnum(rho[j] - rho[k], mm)
-                fp.pden(g + rho[j] - rho[k], mm)
-            else:
-                fp.pnum(1 - g + rho[j] + rho[k], mp)
-                fp.pden(1 + rho[j] + rho[k], mp)
-                fp.pnum(1 - g + rho[j] - rho[k], mm)
-                fp.pden(1 + rho[j] - rho[k], mm)
-    for j in range(n):
-        m = nu[j]
+    num, den = _shift_pairs(rho, rp.g, plus)
+    for j, r in enumerate(rho):
         if plus:
-            fp.pnum(2 * rho[j], 2 * m)
-            for gr in (ga, gb, gc, gd):
-                fp.pden(gr + rho[j], m)
+            num += [(2 * r, j, j, 1)]
+            den += [(gr + r, j, j, 0) for gr in g4]
         else:
-            for gr in (ga, gb, gc, gd):
-                fp.pnum(1 - gr + rho[j], m)
-            fp.pden(1 + 2 * rho[j], 2 * m)
-    return fp.value(context)
+            num += [(1 - gr + r, j, j, 0) for gr in g4]
+            den += [(1 + 2 * r, j, j, 1)]
+    label = "CR+" if plus else "CR-"
+    return _prefix_product(weights, num, den, lambda a, M: a[:, None] + np.arange(M), label)
 
 
 def c_plus_racah(nu, rp: RacahParams, *, dual: bool = False):
-    return _c_r(nu, rp, dual, True, f"CR+{nu}")
+    return _c_r([nu], rp, dual, True)[0]
 
 
 def c_minus_racah(nu, rp: RacahParams, *, dual: bool = False):
-    return _c_r(nu, rp, dual, False, f"CR-{nu}")
+    return _c_r([nu], rp, dual, False)[0]
 
 
 def delta_racah(nu, rp: RacahParams, *, dual: bool = False):
@@ -382,13 +324,9 @@ def delta_racah(nu, rp: RacahParams, *, dual: bool = False):
     return 1.0 / (c_plus_racah(nu, rp, dual=dual) * c_minus_racah(nu, rp, dual=dual))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAM_CACHE_SIZE)
 def racah_table(rp: RacahParams) -> WeightTable:
     """Weight table of the degenerate family on the grid rho + nu."""
     rp.require_truncated()
     alcove = tuple(enumerate_alcove(rp.n, rp.N))
-    cp = [c_plus_racah(nu, rp) for nu in alcove]
-    cm = [c_minus_racah(nu, rp) for nu in alcove]
-    chp = [c_plus_racah(lam, rp, dual=True) for lam in alcove]
-    chm = [c_minus_racah(lam, rp, dual=True) for lam in alcove]
-    return _table(rp, alcove, cp, cm, chp, chm, complex)
+    return _table(rp, alcove, *(_c_r(alcove, rp, dual, plus) for plus, dual in _SIDES), complex)

@@ -37,6 +37,12 @@ import numpy as np
 
 _LETTERS = "abcd"
 
+#: Bound of the transform-context cache (one context per parameter set).
+CONTEXT_CACHE_SIZE = 16
+#: Bound of the parameter-keyed caches (dual_view, weight_table,
+#: racah_table): the primal and dual entries of every cached context.
+PARAM_CACHE_SIZE = 2 * CONTEXT_CACHE_SIZE
+
 
 def _as_scalars(values, precision: str):
     if precision == "double":
@@ -319,7 +325,7 @@ class DualView:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAM_CACHE_SIZE)
 def dual_view(p: ParamSet) -> DualView:
     ta, tb, tc, td = p.t_role
     if p.that_a_choice is not None:

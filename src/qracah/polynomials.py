@@ -2,12 +2,15 @@
 
 The primary construction is grid Gram-Schmidt: process the alcove weights in
 the graded total order and orthogonalize the symmetrized monomial m_lam
-against all previously built members with respect to the discrete bilinear
-form sum_nu f g Delta(nu).  Orthogonality of the family makes the projection
-onto any dominance-incomparable member vanish identically; those projections
-are computed, verified to be numerically negligible, and dropped, so the
-support of every polynomial stays inside the dominance cone of its leading
-weight.
+against the previously built members dominated by lam, with respect to the
+discrete bilinear form sum_nu f g Delta(nu).  The monomials on the grid come
+from one table (monomial_table).  The monic coefficients form one unit lower
+triangular matrix C, values = C @ monomials, exactly zero outside the
+dominance cone.  Each block of members is projected twice with the
+dominance mask applied to the coefficients (classical Gram-Schmidt run
+twice).  Orthogonality of the family makes the projection onto any
+dominance-incomparable member vanish identically; those projections are
+computed, verified to be numerically negligible, and dropped.
 
 A second, independent route applies the spectral projector product
 
@@ -28,6 +31,7 @@ rho + nu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,6 +46,8 @@ _TINY = 1e-300
 #: Largest relative projection onto a dominance-incomparable member that
 #: Gram-Schmidt accepts as numerically zero.
 _DROPTOL = 1e-10
+#: Members per block of the Gram-Schmidt projection (see _family).
+_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -49,35 +55,59 @@ _DROPTOL = 1e-10
 # ---------------------------------------------------------------------------
 
 
-def _orbit_powers(lam, pts, basis: str):
-    """The exponent vectors of the symmetrized monomial m_lam in a basis."""
-    if basis == "bc":
-        if np.any(pts == 0):
-            raise ValueError("monomials need nonzero coordinates")
-        return [np.array(vec) for vec in orbit(tuple(lam))]
-    if basis == "even":
-        return [2 * np.array(vec) for vec in permutation_orbit(tuple(lam))]
-    raise ValueError(f"unknown basis {basis!r}")
+def _check_points(pts, basis: str):
+    if basis not in ("bc", "even"):
+        raise ValueError(f"unknown basis {basis!r}")
+    if basis == "bc" and np.any(pts == 0):
+        raise ValueError("monomials need nonzero coordinates")
 
 
 def monomial_point(lam, z, basis: str = "bc"):
-    """Symmetrized monomial at a single point.
+    """Symmetrized monomial at a single point, summed term by term over the
+    orbit (the reference for monomial_table).
 
     basis "bc": sum over the signed-permutation orbit of prod z_j^(mu_j);
     basis "even": sum over plain permutations of prod x_j^(2 mu_j).
     """
     z = np.asarray(z)
-    return sum(np.prod(z ** vec) for vec in _orbit_powers(lam, z, basis))
+    _check_points(z, basis)
+    lam = tuple(lam)
+    vecs = np.array(orbit(lam)) if basis == "bc" else 2 * np.array(permutation_orbit(lam))
+    return sum(np.prod(z ** vec) for vec in vecs)
+
+
+def monomial_table(weights, pts, basis: str = "bc") -> np.ndarray:
+    """The symmetrized monomials m_lam, lam in weights, at an array of points
+    of shape (npts, n): one row per weight.
+
+    The signed orbit of lam is its distinct permutations pi with independent
+    signs on the nonzero parts, so m_lam = sum_pi prod_j T[j, pi_j] with
+    T[j, a] = z_j^a + z_j^-a (T[j, 0] = 1) in the "bc" basis and
+    T[j, a] = x_j^(2a) in the "even" basis.  T is built once for all
+    weights; the orbits are summed one weight at a time, which keeps the
+    working memory at one orbit by the points.
+    """
+    pts = np.asarray(pts)
+    _check_points(pts, basis)
+    weights = [tuple(lam) for lam in weights]
+    top = np.arange(max((lam[0] for lam in weights), default=0) + 1)[:, None]
+    T = pts.T[:, None, :] ** (2 * top if basis == "even" else top)
+    if basis == "bc":
+        T = T + pts.T[:, None, :] ** -top
+        T[:, 0] = 1
+    out = np.empty((len(weights), len(pts)), dtype=np.result_type(pts.dtype, np.complex128))
+    for i, lam in enumerate(weights):
+        perms = np.array(permutation_orbit(lam))
+        terms = T[0, perms[:, 0]]
+        for j in range(1, perms.shape[1]):
+            terms = terms * T[j, perms[:, j]]
+        out[i] = terms.sum(axis=0)
+    return out
 
 
 def monomial_values(lam, pts, basis: str = "bc"):
     """Symmetrized monomial on an array of points of shape (npts, n)."""
-    pts = np.asarray(pts)
-    vecs = _orbit_powers(lam, pts, basis)
-    out = np.zeros(pts.shape[0], dtype=np.result_type(pts.dtype, np.complex128))
-    for vec in vecs:
-        out += np.prod(pts ** vec, axis=1)
-    return out
+    return monomial_table([lam], pts, basis)[0]
 
 
 def grid_points(p: ParamSet) -> np.ndarray:
@@ -124,11 +154,8 @@ class SymPoly:
         return sum(c * monomial_point(mu, z, self.basis) for mu, c in self.coeffs.items())
 
     def values(self, pts):
-        pts = np.asarray(pts)
-        out = np.zeros(pts.shape[0], dtype=np.result_type(pts.dtype, np.complex128))
-        for mu, c in self.coeffs.items():
-            out += c * monomial_values(mu, pts, self.basis)
-        return out
+        coeffs = np.array(list(self.coeffs.values()))
+        return coeffs @ monomial_table(list(self.coeffs), pts, self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +166,7 @@ class SymPoly:
 @dataclass
 class OrthogonalFamily:
     """Monic orthogonal family over one alcove, rows aligned with the graded
-    total order."""
+    total order: values = C @ (the monomials on the grid)."""
 
     params: object
     basis: str
@@ -147,9 +174,10 @@ class OrthogonalFamily:
     grid: np.ndarray
     delta: np.ndarray
     values: np.ndarray  # (nweights, npoints)
-    coeffs: tuple  # per weight: dict weight -> coefficient
+    C: np.ndarray  # unit lower triangular, zero outside the dominance cone
     norms: np.ndarray  # bilinear squared norms <p, p>
     max_incomparable_projection: float
+    dominance: np.ndarray  # dominance[i, j]: alcove[j] <= alcove[i]
 
     def position(self, lam) -> int:
         return self._index[tuple(lam)]
@@ -157,71 +185,92 @@ class OrthogonalFamily:
     def __post_init__(self):
         self._index = {lam: i for i, lam in enumerate(self.alcove)}
         # Families are shared through the transform-context cache.
-        for arr in (self.values, self.norms):
+        for arr in (self.values, self.C, self.norms, self.dominance):
             arr.setflags(write=False)
 
+    def _row(self, i) -> dict:
+        """Row i of C as weight -> coefficient over the dominance span."""
+        return {self.alcove[j]: self.C[i, j] for j in np.flatnonzero(self.dominance[i])}
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        """Per weight: dict weight -> coefficient (the rows of C)."""
+        return tuple(map(self._row, range(len(self.alcove))))
+
     def poly(self, lam) -> SymPoly:
-        i = self.position(lam)
-        return SymPoly(dict(self.coeffs[i]), tuple(lam), self.basis)
+        return SymPoly(self._row(self.position(lam)), tuple(lam), self.basis)
 
     def gram_matrix(self) -> np.ndarray:
         scaled = self.values * self.delta
         return scaled @ self.values.T
 
 
-def _gram_schmidt(alcove, mvals, delta):
-    nw = len(alcove)
-    values = np.zeros_like(mvals)
-    coeffs: list = []
-    norms: list = []
-    absdelta = np.abs(delta)
-    maxdrop = 0.0
-    for i, lam in enumerate(alcove):
-        v = mvals[i].copy()
-        cdict = {lam: 1.0 + 0.0j}
-        comparable = []
-        for j in range(i):
-            mu = alcove[j]
-            raw = np.sum(mvals[i] * values[j] * delta)
-            if dominance_leq(mu, lam):
-                c = raw / norms[j]
-                v -= c * values[j]
-                for key, val in coeffs[j].items():
-                    cdict[key] = cdict.get(key, 0.0) - c * val
-                comparable.append(j)
-            else:
-                scale = np.sum(np.abs(mvals[i]) * np.abs(values[j]) * absdelta)
-                rel = abs(raw) / max(float(scale), _TINY)
-                maxdrop = max(maxdrop, rel)
-                if rel > _DROPTOL:
-                    raise DegenerateParameterError(
-                        f"projection onto incomparable weight {mu} did not vanish "
-                        f"(relative size {rel:.2e}); parameters appear non-generic"
-                    )
-        # One refinement sweep keeps the family orthogonal to machine
-        # precision even when the weights vary over many orders.
-        for j in comparable:
-            c2 = np.sum(v * values[j] * delta) / norms[j]
-            v -= c2 * values[j]
-            for key, val in coeffs[j].items():
-                cdict[key] = cdict.get(key, 0.0) - c2 * val
-        nrm = np.sum(v * v * delta)
-        scale = np.sum(np.abs(v) ** 2 * absdelta)
-        if abs(nrm) < 1e-10 * max(float(scale), _TINY):
-            raise DegenerateParameterError(
-                f"vanishing squared norm at weight {lam}; parameters are non-generic"
-            )
-        values[i] = v
-        coeffs.append(cdict)
-        norms.append(nrm)
-    return values, tuple(coeffs), np.array(norms), maxdrop
-
-
 def _family(params, table: WeightTable, grid, basis: str) -> OrthogonalFamily:
-    mvals = np.array([monomial_values(lam, grid, basis) for lam in table.alcove])
-    # values, coeffs, norms, max_incomparable_projection
-    found = _gram_schmidt(table.alcove, mvals, table.delta)
-    return OrthogonalFamily(params, basis, table.alcove, grid, table.delta, *found)
+    """Masked classical Gram-Schmidt, run twice, over the monomials.
+
+    Every projection is made twice ("twice is enough": Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005) and keeps only the
+    coefficients on members dominated by the member's weight.  Members are
+    built in blocks of _BLOCK consecutive weights: a block is projected on
+    the members before it in one matrix product, twice, then each of its
+    members on the block's earlier members, twice.  Every row operation
+    acts on values and on C alike, so values = C @ mvals holds throughout
+    and C stays exactly zero outside the dominance cone.
+
+    After each block, <m_i, p_j> on the finished earlier members p_j not
+    dominated by alcove[i] must be negligible relative to sum |m_i p_j Delta|
+    (the largest is recorded); the first failing member in the total order
+    raises, as does a vanishing squared norm.
+    """
+    alcove, delta, absdelta = table.alcove, table.delta, np.abs(table.delta)
+    mvals = monomial_table(alcove, grid, basis)
+    sums = np.cumsum(alcove, axis=1)
+    dominance = np.all(sums[None, :, :] <= sums[:, None, :], axis=2)
+    nw = len(alcove)
+    incomparable = np.tri(nw, k=-1, dtype=bool) & ~dominance
+    values, C, norms = mvals.copy(), np.eye(nw, dtype=mvals.dtype), np.zeros(nw, mvals.dtype)
+    absvals, rel = np.zeros(values.shape, absdelta.dtype), np.zeros((nw, nw))
+
+    def project(rows, done):
+        X, P = values[rows], values[done]
+        c = np.where(dominance[rows, done], ((X * delta) @ P.T) / norms[done], 0)
+        X -= c @ P
+        C[rows, : done.stop] -= c @ C[done, : done.stop]
+
+    def check(rows, done):
+        M = mvals[rows]
+        raw = np.abs((M * delta) @ values[done].T)
+        scale = (np.abs(M) * absdelta) @ absvals[done].T
+        rel[rows, done] = np.where(incomparable[rows, done], raw / np.maximum(scale, _TINY), 0.0)
+
+    for i0 in range(0, nw, _BLOCK):
+        block = slice(i0, min(i0 + _BLOCK, nw))
+        check(block, slice(0, i0))
+        project(block, slice(0, i0))
+        project(block, slice(0, i0))
+        for i in range(i0, block.stop):
+            project(slice(i, i + 1), slice(i0, i))
+            project(slice(i, i + 1), slice(i0, i))
+            norms[i] = values[i] @ (values[i] * delta)
+        absvals[block] = np.abs(values[block])
+        check(block, block)
+        vanishing = np.abs(norms[block]) < 1e-10 * np.maximum(absvals[block] ** 2 @ absdelta, _TINY)
+        failing = i0 + np.flatnonzero(vanishing | np.any(rel[block] > _DROPTOL, axis=1))
+        if failing.size:
+            i = failing[0]
+            bad = np.flatnonzero(rel[i] > _DROPTOL)
+            if bad.size:
+                raise DegenerateParameterError(
+                    f"projection onto incomparable weight {alcove[bad[0]]} did not vanish "
+                    f"(relative size {rel[i, bad[0]]:.2e}); parameters appear non-generic"
+                )
+            raise DegenerateParameterError(
+                f"vanishing squared norm at weight {alcove[i]}; parameters are non-generic"
+            )
+    maxdrop = float(rel.max(initial=0.0))
+    return OrthogonalFamily(
+        params, basis, alcove, grid, delta, values, C, norms, maxdrop, dominance
+    )
 
 
 def build_family(p: ParamSet, *, table: WeightTable | None = None) -> OrthogonalFamily:
@@ -361,7 +410,7 @@ def monomial_operator_matrix(span, p: ParamSet, rng=None):
     best_pts, best_cond = None, np.inf
     for _ in range(20):
         pts = np.array([_sample_point(p.n, p.q, rng) for _ in range(d)])
-        M = np.array([monomial_values(mu, pts, "bc") for mu in span]).T
+        M = monomial_table(span, pts, "bc").T
         cond = np.linalg.cond(M.astype(np.complex128))
         if cond < best_cond:
             best_pts, best_cond, best_M = pts, cond, M
@@ -462,6 +511,4 @@ def limit_check(lam, rp: RacahParams, epsilons, *, racah_family: OrthogonalFamil
 def monomial_grid_matrix(p: ParamSet) -> np.ndarray:
     """The square matrix of monomial values on the grid; its invertibility
     is what lets any grid function be represented inside the span."""
-    alcove = enumerate_alcove(p.n, p.N)
-    grid = grid_points(p)
-    return np.array([monomial_values(mu, grid, "bc") for mu in alcove])
+    return monomial_table(enumerate_alcove(p.n, p.N), grid_points(p), "bc")

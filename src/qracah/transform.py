@@ -44,7 +44,7 @@ import numpy as np
 
 from .cfunctions import WeightTable, racah_table, weight_table
 from .operators import multipliers, operator_matrix
-from .params import ParamSet, RacahParams, dual_view, in_positivity_domain
+from .params import CONTEXT_CACHE_SIZE, ParamSet, RacahParams, dual_view, in_positivity_domain
 from .polynomials import (
     OrthogonalFamily,
     RenormalizedFamily,
@@ -53,11 +53,6 @@ from .polynomials import (
     inner_product_sesqui,
     renormalize,
 )
-
-#: Bound of the context cache.  One context holds about 8.5 MB at 231 grid
-#: points, kernels included, and grows with the square of the size: the
-#: worst case at 496 points is 16 * 40 MB, about 640 MB.
-CONTEXT_CACHE_SIZE = 16
 
 
 class TransformContext:
@@ -122,6 +117,9 @@ class TransformContext:
         return self._kernel(self.dual)
 
 
+# One context holds about 8.5 MB at 231 grid points, kernels included, and
+# grows with the square of the size: the worst case at 496 points is
+# 16 * 40 MB, about 640 MB.
 _context = lru_cache(maxsize=CONTEXT_CACHE_SIZE)(TransformContext)
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import qracah as qr
+from qracah import transform as tr
 from qracah.errors import PoleError
+from qracah.params import PARAM_CACHE_SIZE
 
 import oracles
 from conftest import one_var_racah, one_var_trig
@@ -106,6 +108,38 @@ def test_positivity_of_tables(config_a, config_b):
 
 def test_weight_table_is_cached(config_a):
     assert qr.weight_table(config_a) is qr.weight_table(config_a)
+
+
+def test_parameter_caches_are_bounded(config_a, config_r):
+    """The parameter-keyed caches hold the primal and dual entries of every
+    cached transform context, and a hit returns the same object."""
+    assert PARAM_CACHE_SIZE == 2 * tr.CONTEXT_CACHE_SIZE
+    for cache in (qr.weight_table, qr.racah_table, qr.dual_view):
+        assert cache.cache_info().maxsize == PARAM_CACHE_SIZE
+    assert qr.racah_table(config_r) is qr.racah_table(config_r)
+    assert qr.dual_view(config_a) is qr.dual_view(config_a)
+
+
+def test_table_rows_match_scalar_c_functions(config_a, config_cx, config_r):
+    """Every table entry is the scalar c-function at its weight: on the trig
+    route, the q-Pochhammer route (generic complex parameters) and at the
+    q -> 1 level."""
+    scalar = (qr.c_plus, qr.c_minus, qr.chat_plus, qr.chat_minus)
+    cases = [(qr.weight_table(config_a), [lambda nu, f=f: f(nu, config_a, path="trig") for f in scalar])]
+    cases.append((qr.weight_table(config_cx), [lambda nu, f=f: f(nu, config_cx, path="qpoch") for f in scalar]))
+    racah = [
+        lambda nu: qr.c_plus_racah(nu, config_r),
+        lambda nu: qr.c_minus_racah(nu, config_r),
+        lambda nu: qr.c_plus_racah(nu, config_r, dual=True),
+        lambda nu: qr.c_minus_racah(nu, config_r, dual=True),
+    ]
+    cases.append((qr.racah_table(config_r), racah))
+    for tab, fns in cases:
+        columns = (tab.c_plus, tab.c_minus, tab.chat_plus, tab.chat_minus)
+        for i, nu in enumerate(tab.alcove):
+            for col, fn in zip(columns, fns):
+                ref = fn(nu)
+                assert abs(col[i] - ref) <= 1e-14 * abs(ref)
 
 
 def test_racah_delta_matches_one_var_closed_form():

@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import qracah as qr
 from qracah.errors import DegenerateParameterError
-from qracah.polynomials import dominance_span, monomial_operator_matrix
+from qracah.polynomials import dominance_span, monomial_operator_matrix, monomial_table
 
 from conftest import one_var_racah, one_var_trig
 
@@ -24,6 +27,29 @@ def test_even_monomial():
     assert qr.monomial_point((2, 1), x, basis="even") == pytest.approx(
         x[0] ** 4 * x[1] ** 2 + x[0] ** 2 * x[1] ** 4
     )
+
+
+@pytest.mark.parametrize("basis", ["bc", "even"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomial_table_matches_orbit_loop(basis, n, rng):
+    """Each row of the table is the term-by-term orbit sum of monomial_point,
+    relative to the sum of the terms' moduli."""
+    alcove = qr.enumerate_alcove(n, 3)
+    if basis == "bc":
+        pts = rng.uniform(0.6, 1.4, (6, n)) * np.exp(2j * np.pi * rng.uniform(size=(6, n)))
+    else:
+        pts = rng.uniform(-1.5, 1.5, (6, n))
+    table = monomial_table(alcove, pts, basis)
+    for lam, row in zip(alcove, table):
+        ref = np.array([qr.monomial_point(lam, z, basis) for z in pts])
+        terms = np.array([qr.monomial_point(lam, np.abs(z), basis) for z in pts])
+        assert np.all(np.abs(row - ref) <= 1e-13 * terms)
+    assert np.array_equal(qr.monomial_values(alcove[-1], pts, basis), table[-1])
+
+
+def test_monomial_table_rejects_zero_coordinate():
+    with pytest.raises(ValueError):
+        monomial_table([(1, 0)], np.array([[0.0, 1.0], [0.5, 2.0]]))
 
 
 def test_grid_points(config_a):
@@ -67,6 +93,58 @@ def test_unit_polynomial(ctx_a):
     assert zero == (0, 0)
     assert np.allclose(fam.values[0], 1.0)
     assert fam.coeffs[0] == {zero: 1.0 + 0.0j}
+
+
+def test_coefficient_matrix_structure(ctx_a, ctx_b, ctx_n4, ctx_cx, ctx_r):
+    """C is unit lower triangular with exact zeros outside the dominance
+    cone, its rows are the coefficient dicts over the dominance span, and
+    values = C @ (the monomials on the grid).  The last check leaves out the
+    q -> 1 level, whose monomial expansion cancels about ten digits
+    (ROADMAP item 5)."""
+    for fam in (ctx_a.family, ctx_b.family, ctx_n4.family, ctx_cx.family, ctx_r.family):
+        C = fam.C
+        assert np.array_equal(np.diag(C), np.ones(len(C)))
+        cone = np.array([[qr.dominance_leq(mu, lam) for mu in fam.alcove] for lam in fam.alcove])
+        assert np.all(C[~cone] == 0)
+        for i, lam in enumerate(fam.alcove):
+            assert list(fam.coeffs[i]) == dominance_span(lam)
+        if fam.basis == "bc":
+            expanded = C @ monomial_table(fam.alcove, fam.grid, fam.basis)
+            assert np.max(np.abs(fam.values - expanded)) <= 1e-12 * np.max(np.abs(fam.values))
+
+
+@pytest.mark.parametrize("n, N", [(2, 20), (3, 8)])
+def test_gram_matrix_diagonal_at_size(n, N):
+    alpha = math.pi / ((n - 1) * 0.3 + 0.5 + 0.4 + N)
+    p = qr.from_trig(alpha=alpha, g=0.3, g_a=0.5, g_b=0.4, g_c=0.2, g_d=0.1, n=n, N=N)
+    G = qr.build_family(p).gram_matrix()
+    root = np.sqrt(np.abs(np.diag(G)))
+    off = (G - np.diag(np.diag(G))) / np.outer(root, root)
+    assert np.max(np.abs(off)) <= 1e-12
+
+
+def test_incomparable_projections_vanish_on_trig_fixtures(ctx_a, ctx_b, ctx_sd, ctx_n4):
+    for ctx in (ctx_a, ctx_b, ctx_sd, ctx_n4):
+        assert ctx.family.max_incomparable_projection < 1e-12
+        assert ctx.dual_family.max_incomparable_projection < 1e-12
+
+
+def test_wrong_weights_leave_incomparable_projection(config_a):
+    """Against weights that are not the orthogonality measure, projections
+    onto dominance-incomparable members do not vanish, and the build says
+    so instead of dropping them."""
+    tab = qr.weight_table(config_a)
+    delta = np.random.default_rng(5).uniform(0.5, 2.0, len(tab.alcove))
+    with pytest.raises(DegenerateParameterError, match="incomparable weight"):
+        qr.build_family(config_a, table=dataclasses.replace(tab, delta=delta))
+
+
+def test_extended_precision_family_stays_clongdouble(config_a):
+    ts = config_a.trig
+    pe = qr.from_trig(ts.alpha, ts.g, ts.g_a, ts.g_b, ts.g_c, ts.g_d, 2, 4, precision="extended")
+    fam = qr.build_family(pe)
+    for arr in (fam.values, fam.norms, fam.C):
+        assert arr.dtype == np.clongdouble
 
 
 def test_gram_matrix_diagonal(ctx_a, ctx_b):
